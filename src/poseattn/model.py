@@ -309,9 +309,7 @@ class RgbStream:
                 temporal_attention=p_prime,
             )
 
-        per_step = T.add(
-            T.matmul(hidden_states, T.transpose(self.head.W)), self.head.b
-        )  # (B, T, C)
+        per_step = self.head(hidden_states)  # (B, T, C)
         logits = self._pool_steps(per_step, batch.n_frames)
         return StreamOutput(
             logits=logits,
@@ -374,7 +372,7 @@ class PoseStream:
         rate = self.dropout_rate if self.stack_dropout else 0.0
         top = self.stack.forward(xs, dropout_rate=rate, rng=rng, training=training)
         hidden_states = T.stack(top, axis=1)
-        per_step = T.add(T.matmul(hidden_states, T.transpose(self.head.W)), self.head.b)
+        per_step = self.head(hidden_states)
         logits = T.mean_axis(per_step, axis=1)
         return StreamOutput(
             logits=logits, hidden_states=hidden_states, per_step_logits=per_step

@@ -23,7 +23,7 @@ class Linear:
     b: Tensor
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, T.transpose(self.W)), self.b)
+        return T.linear(x, self.W, self.b)
 
     @property
     def in_dim(self) -> int:
@@ -165,7 +165,7 @@ def gru_cell_step(params: GruParams, h_prev: Tensor, x: Tensor) -> Tensor:
 
 
 def _affine(x: Tensor, W: Tensor, h: Tensor, U: Tensor, b: Tensor) -> Tensor:
-    return T.add(T.add(T.matmul(x, T.transpose(W)), T.matmul(h, T.transpose(U))), b)
+    return T.add(T.linear(x, W, b), T.linear(h, U))
 
 
 @dataclass
@@ -236,7 +236,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     if targets.size != n:
         raise ShapeError(f"cross_entropy: {n} rows but {targets.size} targets")
     mask = Tensor(one_hot(targets, c))
-    log_p = T.log(T.softmax(logits))
+    log_p = T.log_softmax(logits)
     return T.scale(T.sum_axis(T.multiply(log_p, mask)), -1.0 / n)
 
 
@@ -266,6 +266,8 @@ def adam_step(state: AdamState, params: dict[str, Tensor], grads: dict[str, np.n
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
+    largest = max((g.size for g in grads.values()), default=0)
+    scratch_a, scratch_b = np.empty(largest), np.empty(largest)
     for name, g in grads.items():
         p = params[name]
         m = state.m.get(name)
@@ -274,13 +276,24 @@ def adam_step(state: AdamState, params: dict[str, Tensor], grads: dict[str, np.n
         v = state.v.get(name)
         if v is None:
             v = state.v[name] = np.zeros_like(p.data)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), written into two
+        # scratch buffers: the same operations in the same order.
+        a = scratch_a[: g.size].reshape(g.shape)
+        b = scratch_b[: g.size].reshape(g.shape)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        np.multiply(g, 1.0 - state.beta1, out=a)
+        m += a
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(g, g, out=a)
+        a *= 1.0 - state.beta2
+        v += a
+        np.divide(m, bc1, out=a)
+        a *= state.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        a /= b
+        p.data -= a
 
 
 def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

@@ -252,15 +252,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             ad @ bd, "matmul", (a, b),
             (lambda g: g @ bd.transpose(0, 2, 1), lambda g: ad.transpose(0, 2, 1) @ g),
         )
-    if ad.ndim == 3 and bd.ndim == 2:
-        if ad.shape[2] != bd.shape[0]:
-            raise ShapeError(f"matmul: inner dimensions differ: {ad.shape} @ {bd.shape}")
-        k, n = bd.shape
-        return _make(
-            ad @ bd, "matmul", (a, b),
-            (lambda g: g @ bd.T, lambda g: ad.reshape(-1, k).T @ g.reshape(-1, n)),
-        )
     raise ShapeError(f"matmul: unsupported operand ranks {ad.ndim} and {bd.ndim}")
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ W.T (+ b)`` for x of shape (..., in) with rank 2 or 3 and W of shape (out, in).
+
+    One node in place of transpose, matmul and add.  The weight gradient
+    ``g.T @ x`` is built directly in W's own (out, in) layout.
+    """
+    xd, Wd = x.data, W.data
+    bias_shape = None if b is None else b.data.shape
+    if (
+        Wd.ndim != 2
+        or xd.ndim not in (2, 3)
+        or xd.shape[-1] != Wd.shape[1]
+        or bias_shape not in (None, Wd.shape[:1])
+    ):
+        bias = "" if b is None else f" + {bias_shape}"
+        raise ShapeError(f"linear: {xd.shape} @ {Wd.shape}.T{bias} do not conform")
+    n_out, n_in = Wd.shape
+    x2 = xd.reshape(-1, n_in)
+    out2 = x2 @ Wd.T
+
+    def vjp_x(g):
+        return (g.reshape(-1, n_out) @ Wd).reshape(xd.shape)
+
+    def vjp_W(g):
+        return g.reshape(-1, n_out).T @ x2
+
+    def vjp_b(g):
+        return g.reshape(-1, n_out).sum(axis=0)
+
+    parents, vjps = (x, W), (vjp_x, vjp_W)
+    if b is not None:
+        out2 += b.data
+        parents, vjps = (x, W, b), (vjp_x, vjp_W, vjp_b)
+    return _make(out2.reshape(xd.shape[:-1] + (n_out,)), "linear", parents, vjps)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -370,7 +398,10 @@ def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = np.exp(-np.logaddexp(0.0, -a.data))
+    # 0.5 * (1 + tanh(x / 2)): one transcendental, no overflow for any finite x.
+    out = np.tanh(0.5 * a.data)
+    out += 1.0
+    out *= 0.5
 
     def vjp(g):
         return g * out * (1.0 - out)
@@ -426,6 +457,23 @@ def softmax(a: Tensor) -> Tensor:
         return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
     return _make(p, "softmax", (a,), (vjp,))
+
+
+def log_softmax(a: Tensor) -> Tensor:
+    """Log-softmax over the last axis: ``z - logsumexp(z)`` after max subtraction.
+
+    Finite for any finite input, where ``log(softmax(z))`` underflows to
+    ``log(0)`` once logits differ by more than about 745.
+    """
+    z = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=-1, keepdims=True)
+    p = e / s
+
+    def vjp(g):
+        return g - p * g.sum(axis=-1, keepdims=True)
+
+    return _make(z - np.log(s), "log_softmax", (a,), (vjp,))
 
 
 # Binary serialization: u32 rank, u32 extents, little-endian f64 payload.

@@ -31,6 +31,17 @@ def zero_gru(input_dim, hidden_dim):
     )
 
 
+class TestLinear:
+    def test_one_call_records_one_node(self):
+        rng = np.random.default_rng(0)
+        layer = linear_init(rng, 6, 4)
+        for shape in ((3, 6), (2, 3, 6)):
+            with T.Tape() as tape:
+                out = layer(Tensor(rng.normal(size=shape)))
+            assert tape.node_count == 1
+            assert out.shape == shape[:-1] + (4,)
+
+
 class TestMlp:
     def test_zero_params_softmax_is_uniform(self):
         mlp = nn.Mlp(layers=[linear_zero(8, 16), linear_zero(16, 4)], out_activation="softmax")
@@ -160,6 +171,15 @@ class TestCrossEntropy:
         tape.backward(loss)
         assert np.abs(logits.grad.sum(axis=1)).max() < 1e-12
 
+    def test_confidently_wrong_logits_stay_finite(self):
+        logits = Tensor(np.array([[0.0, 800.0]]), requires_grad=True)
+        with T.Tape() as tape:
+            loss = cross_entropy(logits, np.array([0]))
+        tape.backward(loss)
+        assert loss.item() == 800.0
+        assert np.all(np.isfinite(logits.grad))
+        assert np.array_equal(logits.grad, [[-1.0, 1.0]])
+
     def test_out_of_range_target(self):
         with pytest.raises(ValueError, match="class index"):
             cross_entropy(Tensor(np.zeros((1, 4))), np.array([4]))
@@ -194,6 +214,28 @@ class TestAdam:
         p = {"w": Tensor(np.array([1.0]), requires_grad=True)}
         with pytest.raises(NumericError, match="w"):
             adam_step(AdamState(), p, {"w": np.array([np.nan])})
+
+    def test_steps_bitwise_equal_to_reference_formula(self):
+        rng = np.random.default_rng(14)
+        shapes = {"W": (5, 3), "b": (5,), "s": (1,)}
+        p = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+        ref = {k: t.data.copy() for k, t in p.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        state = AdamState(lr=0.01)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            adam_step(state, p, grads)
+            for k, g in grads.items():
+                m[k] = m[k] * b1 + (1.0 - b1) * g
+                v[k] = v[k] * b2 + (1.0 - b2) * (g * g)
+                m_hat = m[k] / (1.0 - b1**t)
+                v_hat = v[k] / (1.0 - b2**t)
+                ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                assert np.array_equal(p[k].data, ref[k])
+                assert np.array_equal(state.m[k], m[k])
+                assert np.array_equal(state.v[k], v[k])
 
     def test_step_counter_increments_by_one(self):
         state = AdamState()

@@ -104,6 +104,45 @@ def test_shape_errors_name_op_and_shapes():
         T.add(Tensor(np.zeros((4, 3))), Tensor(np.zeros(4)))
 
 
+def test_linear_shape_error_names_op_and_shapes():
+    with pytest.raises(ShapeError, match=r"linear.*\(5, 3\).*\(2, 4\)"):
+        T.linear(Tensor(np.zeros((5, 3))), Tensor(np.zeros((2, 4))))
+    with pytest.raises(ShapeError, match=r"linear.*\(2, 5, 4\).*\(2, 4\).*\(3,\)"):
+        T.linear(Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((2, 4))), Tensor(np.zeros(3)))
+
+
+def test_linear_matches_matmul_with_transposed_weight():
+    rng = np.random.default_rng(3)
+    x, W, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(5, 4)), rng.normal(size=5)
+    out = T.linear(Tensor(x), Tensor(W), Tensor(b)).data
+    assert out.shape == (2, 3, 5)
+    assert np.allclose(out, x @ W.T + b, rtol=0, atol=1e-12)
+
+
+def test_linear_weight_grad_in_weight_layout():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(6, 3)))
+    W = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    with Tape() as tape:
+        loss = T.sum_axis(T.linear(x, W))
+    tape.backward(loss)
+    assert W.grad.flags.c_contiguous
+    assert np.allclose(W.grad, np.ones((6, 2)).T @ x.data)
+
+
+def test_sigmoid_extreme_inputs_finite_in_unit_interval():
+    out = T.sigmoid(Tensor([[-800.0, 800.0], [-40.0, 40.0]])).data
+    assert np.all(np.isfinite(out))
+    assert np.all((out >= 0.0) & (out <= 1.0))
+    assert out[0, 0] == 0.0 and out[0, 1] == 1.0
+
+
+def test_log_softmax_matches_log_of_softmax():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(scale=5.0, size=(4, 6)))
+    assert np.allclose(T.log_softmax(x).data, np.log(T.softmax(x).data), rtol=0, atol=1e-12)
+
+
 def test_non_finite_creation_rejected():
     with pytest.raises(NumericError):
         Tensor([np.inf, 1.0])
@@ -167,6 +206,7 @@ def _unary_cases(rng):
         "abs": (T.absolute, x()),
         "log": (T.log, positive()),
         "softmax": (T.softmax, x()),
+        "log_softmax": (T.log_softmax, x()),
         "scale": (lambda t: T.scale(t, -2.5), x()),
         "identity_sum": (lambda t: t, x()),
         "sum_axis0": (lambda t: T.sum_axis(t, 0), x()),
@@ -199,6 +239,7 @@ def test_unary_adjoints_match_finite_differences(name):
 
 
 def _binary_cases(rng):
+    # (op, *inputs): every input is checked, so linear's bias rides along.
     t = lambda shape: Tensor(rng.normal(size=shape), requires_grad=True)
     return {
         "add": (T.add, t((3, 4)), t((3, 4))),
@@ -208,7 +249,10 @@ def _binary_cases(rng):
         "multiply_broadcast": (T.multiply, t((2, 3, 4)), t((4,))),
         "matmul_22": (T.matmul, t((3, 4)), t((4, 2))),
         "matmul_33": (T.matmul, t((2, 3, 4)), t((2, 4, 2))),
-        "matmul_32": (T.matmul, t((2, 3, 4)), t((4, 2))),
+        "linear_2": (T.linear, t((3, 4)), t((2, 4))),
+        "linear_2_bias": (T.linear, t((3, 4)), t((2, 4)), t((2,))),
+        "linear_3": (T.linear, t((2, 3, 4)), t((2, 4))),
+        "linear_3_bias": (T.linear, t((2, 3, 4)), t((2, 4)), t((2,))),
     }
 
 
@@ -217,13 +261,13 @@ def test_binary_adjoints_match_finite_differences(name):
     rng = np.random.default_rng(hash(name) % 2**32)
     worst = 0.0
     for _ in range(100):
-        op, a, b = _binary_cases(rng)[name]
-        w = Tensor(rng.normal(size=op(a, b).shape))
+        op, *inputs = _binary_cases(rng)[name]
+        w = Tensor(rng.normal(size=op(*inputs).shape))
 
         def f():
-            return T.sum_axis(T.multiply(op(a, b), w))
+            return T.sum_axis(T.multiply(op(*inputs), w))
 
-        res = grad_check_params(f, {"a": a, "b": b})
+        res = grad_check_params(f, dict(zip("abc", inputs)))
         worst = max(worst, max(r.max_rel_error for r in res.values()))
     assert worst < 1e-5
 
