@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .data import load_dataset
+from .data import Dataset, load_dataset
 from .training import (
     RunConfig,
     TrainResult,
@@ -64,18 +64,22 @@ class CellResult:
     seed: int
     status: str  # "ok" or "failed: ..."
     acc: dict[str, float]
+    trace: str = ""  # traceback of a failed cell
 
     @property
     def avg(self) -> float:
         return sum(self.acc.values()) / len(self.acc) if self.acc else float("nan")
 
 
-def _run_cell(payload: dict) -> dict:
-    """Train one grid cell; module-level so a process pool can pickle it."""
+def _run_cell(payload: dict, dataset: Dataset | None = None) -> dict:
+    """Train one grid cell; module-level so a process pool can pickle it.
+
+    Pool workers pass no ``dataset`` and load their own copy.
+    """
     base = RunConfig.from_json(payload["base"])
     config = cell_config(base, payload["row"], payload["seed"], payload["out_dir"])
     try:
-        result = run_train(config)
+        result = run_train(config, dataset=dataset)
         return {
             "row": payload["row"],
             "seed": payload["seed"],
@@ -103,6 +107,7 @@ def run_ablation(
 ) -> list[CellResult]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    dataset = load_dataset(base.dataset)
     row_names = rows if rows is not None else [name for name, _, _ in GRID_ROWS]
     payloads = [
         {
@@ -118,25 +123,22 @@ def run_ablation(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_run_cell, payloads))
     else:
-        raw = [_run_cell(p) for p in payloads]
-    results = [
-        CellResult(row=r["row"], seed=r["seed"], status=r["status"], acc=r["acc"]) for r in raw
-    ]
+        raw = [_run_cell(p, dataset) for p in payloads]
+    results = [CellResult(**r) for r in raw]
 
     if two_stream:
-        results = _fuse_with_pose(base, seeds, out_dir, results)
+        results = _fuse_with_pose(base, dataset, seeds, out_dir, results)
 
     if attention_dumps:
-        _write_dumps(base, out_dir, results)
+        _write_dumps(base, dataset, out_dir, results)
     _write_grid(out_dir, results, row_names, seeds)
     return results
 
 
 def _fuse_with_pose(
-    base: RunConfig, seeds: list[int], out_dir: Path, results: list[CellResult]
+    base: RunConfig, dataset: Dataset, seeds: list[int], out_dir: Path, results: list[CellResult]
 ) -> list[CellResult]:
     """Re-score every completed cell fused with one shared pose stream per seed."""
-    dataset = load_dataset(base.dataset)
     pose_by_seed: dict[int, TrainResult] = {}
     for seed in seeds:
         config = replace(
@@ -162,8 +164,9 @@ def _fuse_with_pose(
     return fused
 
 
-def _write_dumps(base: RunConfig, out_dir: Path, results: list[CellResult]) -> None:
-    dataset = load_dataset(base.dataset)
+def _write_dumps(
+    base: RunConfig, dataset: Dataset, out_dir: Path, results: list[CellResult]
+) -> None:
     prepared = prepare_sequences(dataset)
     ids = dataset.manifest.split_ids("test_seeds")[:50]
     for cell in results:
@@ -194,6 +197,7 @@ def _write_grid(out_dir: Path, results: list[CellResult], rows: list[str], seeds
         json.dumps(
             [
                 {"row": c.row, "seed": c.seed, "status": c.status, "acc": c.acc}
+                | ({"trace": c.trace} if c.status != "ok" else {})
                 for c in results
             ],
             indent=2,

@@ -3,8 +3,8 @@
 Subcommands: ``synth`` (generate a dataset), ``train``, ``eval``,
 ``ablate``, ``gradcheck``, ``dump-attention``.  Configuration comes from a
 versioned JSON file with flag overrides; ``POSEATTN_OUTPUT_ROOT`` anchors
-relative output paths.  Exit codes: 0 success, 1 usage, 2 data error,
-3 numeric failure.
+relative output paths.  Exit codes: 0 success, 1 usage (bad flags or
+config values), 2 data error, 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .data import DatasetError, export_manifest_json, load_dataset, save_dataset
 from .synth import SyntheticSpec, generate
 from .tensor import GraphError, NumericError, ShapeError
 from .training import (
+    ConfigError,
     RunConfig,
     dump_attention,
     evaluate,
@@ -279,6 +280,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError,) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ConfigError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except (DatasetError, ShapeError, GraphError, OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

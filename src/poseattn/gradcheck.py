@@ -93,8 +93,3 @@ def grad_check_params(
             max_rel_error=err, passed=err < tol, n_coords=p.data.size, eps=eps, tol=tol
         )
     return results
-
-
-def worst_result(results: Mapping[str, GradCheckResult]) -> tuple[str, GradCheckResult]:
-    name = max(results, key=lambda k: results[k].max_rel_error)
-    return name, results[name]

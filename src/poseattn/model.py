@@ -1,6 +1,6 @@
 """Two-stream sequence classifier with pose-conditioned attention.
 
-The RGB stream runs, per frame: glimpse encoding of up to 4 hand slots,
+The RGB stream runs, per frame: stored glimpse features of up to 4 hand slots,
 spatial attention over the slots (conditioned on the recurrent hidden
 state, the augmented pose, or both; sum/concat integration as baselines),
 a GRU over the resulting context vectors, and either motion-conditioned
@@ -48,7 +48,6 @@ class WindowBatch:
     hand_mask: np.ndarray  # (B, T, 4) float 0/1
     labels: np.ndarray  # (B,)
     features: np.ndarray | None = None  # (B, T, 4, D)
-    patches: np.ndarray | None = None  # (B, T, 4, pixels)
 
     @property
     def batch_size(self) -> int:
@@ -68,65 +67,6 @@ class StreamOutput:
     per_step_logits: Tensor | None = None  # (B, T, C) when not attention-pooled
     spatial_attention: Tensor | None = None  # (B, T, 4)
     temporal_attention: Tensor | None = None  # (B, T)
-
-
-class PrecomputedFeatures:
-    """Glimpse encoder backed by stored per-hand feature vectors.
-
-    Mirrors a frozen pretrained backbone: no trainable parameters; absent
-    hands are forced to the zero vector.
-    """
-
-    def __init__(self, feat_dim: int):
-        self.feat_dim = feat_dim
-
-    def encode(self, batch: WindowBatch) -> list[Tensor]:
-        if batch.features is None:
-            raise ValueError("batch carries no precomputed features")
-        if batch.features.shape[-1] != self.feat_dim:
-            raise ShapeError(
-                f"feature dim {batch.features.shape[-1]} != encoder dim {self.feat_dim}"
-            )
-        feats = batch.features * batch.hand_mask[..., None]
-        return [Tensor(feats[:, t]) for t in range(batch.n_frames)]
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {}
-
-
-class PatchEncoder:
-    """Small trainable encoder mapping a flattened crop patch to a feature vector."""
-
-    def __init__(self, rng: np.random.Generator, patch_pixels: int, feat_dim: int, hidden: int = 32):
-        self.patch_pixels = patch_pixels
-        self.feat_dim = feat_dim
-        self.l1 = linear_init(rng, patch_pixels, hidden)
-        self.l2 = linear_init(rng, hidden, feat_dim)
-
-    def encode(self, batch: WindowBatch) -> list[Tensor]:
-        if batch.patches is None:
-            raise ValueError("batch carries no patches")
-        b, t, slots, pixels = batch.patches.shape
-        if pixels != self.patch_pixels:
-            raise ShapeError(f"patch size {pixels} != encoder size {self.patch_pixels}")
-        out = []
-        for i in range(t):
-            x = Tensor(batch.patches[:, i])  # (B, 4, pixels)
-            h = T.relu(self.l1(x))
-            v = self.l2(h)  # (B, 4, D)
-            mask = np.broadcast_to(
-                batch.hand_mask[:, i, :, None], (b, slots, self.feat_dim)
-            )
-            out.append(T.multiply(v, Tensor(np.ascontiguousarray(mask))))
-        return out
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {
-            "encoder.l1.W": self.l1.W,
-            "encoder.l1.b": self.l1.b,
-            "encoder.l2.W": self.l2.W,
-            "encoder.l2.b": self.l2.b,
-        }
 
 
 def spatial_attention_weights(
@@ -186,7 +126,6 @@ class RgbStream:
         pose_aug_dim: int,
         hidden_dim: int,
         n_classes: int,
-        encoder=None,
         attn_hidden: int = 256,
         temporal_hidden: int = 32,
         pooling: str = "average",
@@ -207,7 +146,6 @@ class RgbStream:
         self.pooling = pooling
         self.dropout_rate = dropout_rate
         self.mask_absent = mask_absent
-        self.encoder = encoder if encoder is not None else PrecomputedFeatures(feat_dim)
 
         self.attn: Mlp | None = None
         if conditioning in ATTENTION_CONDITIONINGS:
@@ -235,17 +173,11 @@ class RgbStream:
     def parameters(self) -> dict[str, Tensor]:
         params: dict[str, Tensor] = {}
         if self.attn is not None:
-            for i, layer in enumerate(self.attn.layers):
-                params[f"attn.l{i}.W"] = layer.W
-                params[f"attn.l{i}.b"] = layer.b
+            params.update(self.attn.named("attn"))
         params.update(self.gru.named("gru"))
         if self.temporal is not None:
-            for i, layer in enumerate(self.temporal.layers):
-                params[f"temporal.l{i}.W"] = layer.W
-                params[f"temporal.l{i}.b"] = layer.b
-        params["head.W"] = self.head.W
-        params["head.b"] = self.head.b
-        params.update(self.encoder.parameters())
+            params.update(self.temporal.named("temporal"))
+        params.update(self.head.named("head"))
         return params
 
     def forward(
@@ -260,14 +192,21 @@ class RgbStream:
             raise ShapeError(
                 f"rgb stream: window length {batch.n_frames} != configured {self.n_frames}"
             )
+        if batch.features is None:
+            raise ValueError("batch carries no hand features")
+        if batch.features.shape[-1] != self.feat_dim:
+            raise ShapeError(
+                f"feature dim {batch.features.shape[-1]} != stream dim {self.feat_dim}"
+            )
         b = batch.batch_size
-        values = self.encoder.encode(batch)
+        # Stored glimpse features stand in for a frozen backbone; absent hands read zero.
+        values = batch.features * batch.hand_mask[..., None]
 
         h = Tensor(np.zeros((b, self.hidden_dim)))
         hiddens: list[Tensor] = []
         attentions: list[Tensor] = []
         for t in range(batch.n_frames):
-            v_t = values[t]
+            v_t = Tensor(values[:, t])
             if self.conditioning in ATTENTION_CONDITIONINGS:
                 p_t = spatial_attention_weights(
                     self.attn,
@@ -355,10 +294,7 @@ class PoseStream:
         self.head: Linear = linear_init(rng, hidden_dim, n_classes)
 
     def parameters(self) -> dict[str, Tensor]:
-        params = self.stack.named("stack")
-        params["head.W"] = self.head.W
-        params["head.b"] = self.head.b
-        return params
+        return {**self.stack.named("stack"), **self.head.named("head")}
 
     def forward(
         self,

@@ -25,13 +25,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.W, self.b)
 
-    @property
-    def in_dim(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.W.shape[0]
+    def named(self, prefix: str) -> dict[str, Tensor]:
+        return {f"{prefix}.W": self.W, f"{prefix}.b": self.b}
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -56,10 +51,9 @@ def linear_zero(in_dim: int, out_dim: int) -> Linear:
 
 @dataclass
 class Mlp:
-    """ReLU-hidden multilayer perceptron with a softmax or identity output."""
+    """ReLU-hidden multilayer perceptron with an identity output."""
 
     layers: list[Linear]
-    out_activation: str = "identity"  # "softmax" | "identity"
 
     def __call__(
         self,
@@ -72,24 +66,24 @@ class Mlp:
         for layer in self.layers[:-1]:
             h = T.relu(layer(h))
             h = dropout(h, dropout_rate, rng, training)
-        out = self.layers[-1](h)
-        if self.out_activation == "softmax":
-            out = T.softmax(out)
+        return self.layers[-1](h)
+
+    def named(self, prefix: str) -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        for i, layer in enumerate(self.layers):
+            out.update(layer.named(f"{prefix}.l{i}"))
         return out
 
 
 def mlp_init(
-    rng: np.random.Generator,
-    dims: Sequence[int],
-    out_activation: str = "identity",
-    zero_output: bool = False,
+    rng: np.random.Generator, dims: Sequence[int], zero_output: bool = False
 ) -> Mlp:
     layers = [linear_init(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 2)]
     if zero_output:
         layers.append(linear_zero(dims[-2], dims[-1]))
     else:
         layers.append(linear_init(rng, dims[-2], dims[-1]))
-    return Mlp(layers=layers, out_activation=out_activation)
+    return Mlp(layers=layers)
 
 
 def dropout(

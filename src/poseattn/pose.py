@@ -1,7 +1,7 @@
 """Deterministic pose preprocessing.
 
 Body-centered normalization, velocity/acceleration augmentation, per-frame
-motion statistics, subsequence window sampling, and hand-crop geometry.
+motion statistics, and subsequence window sampling.
 All functions are pure; augmentation and motion statistics run on the full
 sequence, and windows index into the result (backward differences are
 causal, so no window sees future frames).
@@ -114,51 +114,9 @@ def window_indices(length: int, start: int, window: int) -> np.ndarray:
     return np.minimum(start + np.arange(window), length - 1)
 
 
-def sample_windows(
-    length: int, window: int, mode: str, rng: np.random.Generator | None = None
-) -> list[np.ndarray]:
-    """Train mode: one uniformly random window.  Eval mode: five evenly spaced windows."""
+def sample_window(length: int, window: int, rng: np.random.Generator) -> np.ndarray:
+    """Frame indices of one uniformly random training window."""
     if window <= 0:
         raise ValueError(f"window length must be positive, got {window}")
-    if mode == "train":
-        if rng is None:
-            raise ValueError("train-mode sampling needs an rng")
-        hi = max(length - window, 0)
-        start = int(rng.integers(0, hi + 1))
-        return [window_indices(length, start, window)]
-    if mode == "eval":
-        return [window_indices(length, s, window) for s in eval_window_starts(length, window)]
-    raise ValueError(f"unknown sampling mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class CropWindow:
-    """Integer pixel window [u0, u0+size) x [v0, v0+size)."""
-
-    u0: int
-    v0: int
-    size: int
-    present: bool = True
-
-
-def crop_window(
-    hand_uv: tuple[float, float],
-    crop: int,
-    image_size: tuple[int, int],
-    present: bool = True,
-) -> CropWindow:
-    """Fixed-size window centered on the hand, shifted (never shrunk) to fit the image.
-
-    An absent hand at the zero-coordinate convention degenerates to the
-    top-left corner; the caller substitutes a zero feature vector.
-    """
-    width, height = image_size
-    if crop <= 0:
-        raise ValueError(f"crop size must be positive, got {crop}")
-    if crop > min(width, height):
-        raise ValueError(f"crop {crop} exceeds image size {image_size}")
-    u0 = round(hand_uv[0] - crop / 2)
-    v0 = round(hand_uv[1] - crop / 2)
-    u0 = min(max(u0, 0), width - crop)
-    v0 = min(max(v0, 0), height - crop)
-    return CropWindow(u0=int(u0), v0=int(v0), size=crop, present=present)
+    start = int(rng.integers(0, max(length - window, 0) + 1))
+    return window_indices(length, start, window)

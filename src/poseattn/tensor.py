@@ -82,35 +82,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar over the primitives below.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return subtract(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return multiply(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other) -> "Tensor":
-        return scale(self, float(other))
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 _Node = tuple  # (out: Tensor, parents: tuple[Tensor, ...], vjps: tuple[Callable|None, ...])
@@ -425,15 +398,6 @@ def relu(a: Tensor) -> Tensor:
         return g * mask
 
     return _make(np.where(mask, a.data, 0.0), "relu", (a,), (vjp,))
-
-
-def absolute(a: Tensor) -> Tensor:
-    sign = np.sign(a.data)
-
-    def vjp(g):
-        return g * sign
-
-    return _make(np.abs(a.data), "abs", (a,), (vjp,))
 
 
 def log(a: Tensor) -> Tensor:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,19 +19,35 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, DatasetError, dataset_content_hash, load_dataset
-from .model import PoseStream, RgbStream, WindowBatch, fuse_logits
+from .model import CONDITIONINGS, PoseStream, RgbStream, WindowBatch, fuse_logits
 from .nn import AdamState, adam_step, collect_grads, zero_grads
 from .pose import (
     augment_pose,
     eval_window_starts,
     motion_stats,
     normalize_pose,
-    sample_windows,
+    sample_window,
     window_indices,
 )
 from .tensor import NumericError, Tape, read_array, write_array
 
 CONFIG_VERSION = 1
+
+_CONFIG_CHOICES = {
+    "variant": ("rgb", "pose", "two_stream"),
+    "conditioning": CONDITIONINGS,
+    "pooling": ("average", "last"),
+}
+_CONFIG_AT_LEAST_ONE = (
+    "clip_len", "feat_dim", "rgb_hidden", "pose_hidden", "pose_layers",
+    "attn_hidden", "temporal_hidden", "batch_size", "max_epochs", "patience",
+)
+# lo <= value < hi.  lr = 0 is a valid frozen-parameter run; a negative rate would ascend.
+_CONFIG_RANGES = {"dropout": (0.0, 1.0), "lr": (0.0, float("inf"))}
+
+
+class ConfigError(ValueError):
+    """A run config field is out of range or not one of its choices."""
 
 
 @dataclass
@@ -59,6 +76,19 @@ class RunConfig:
     mask_absent: bool = False
     stack_dropout: bool = True
     config_version: int = CONFIG_VERSION
+
+    def __post_init__(self) -> None:
+        for name, choices in _CONFIG_CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"config {name}: {getattr(self, name)!r} is not one of {choices}")
+        for name in _CONFIG_AT_LEAST_ONE:
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ConfigError(f"config {name}: must be an integer >= 1, got {value!r}")
+        for name, (lo, hi) in _CONFIG_RANGES.items():
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not lo <= value < hi:
+                raise ConfigError(f"config {name}: must be a number in [{lo}, {hi}), got {value!r}")
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -105,7 +135,7 @@ def prepare_sequences(dataset: Dataset) -> dict[str, PreparedSequence]:
     for record in dataset.manifest.records:
         seqdata = dataset.sequences[record.seq_id]
         seq = normalize_pose(seqdata.seq, spine_joint=spine)
-        mask = np.repeat(seq.subject_present.astype(np.float64), 2)
+        mask = seq.hand_mask().astype(np.float64)
         length = seq.n_frames
         out[record.seq_id] = PreparedSequence(
             seq_id=record.seq_id,
@@ -293,10 +323,7 @@ def train_stream(
             for lo in range(0, len(order), config.batch_size):
                 batch_ids = [train_ids[j] for j in order[lo : lo + config.batch_size]]
                 samples = [prepared[i] for i in batch_ids]
-                windows = [
-                    sample_windows(s.length, config.clip_len, "train", rng)[0]
-                    for s in samples
-                ]
+                windows = [sample_window(s.length, config.clip_len, rng) for s in samples]
                 batch = make_batch(samples, windows)
                 with Tape() as tape:
                     out = stream.forward(batch, training=True, rng=rng)
@@ -364,8 +391,6 @@ def run_train(config: RunConfig, dataset: Dataset | None = None) -> TrainResult:
         raise DatasetError("dataset needs non-empty train and val splits")
 
     wanted = {"rgb": config.variant in ("rgb", "two_stream"), "pose": config.variant in ("pose", "two_stream")}
-    if not any(wanted.values()):
-        raise DatasetError(f"unknown variant {config.variant!r}")
 
     result = TrainResult(
         config=config, streams={}, prepared=prepared, dataset=dataset, dataset_hash=ds_hash
@@ -471,11 +496,20 @@ def save_checkpoint(
         },
         sort_keys=True,
     ).encode()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(len(header).to_bytes(8, "little"))
-        f.write(header)
-        f.write(bytes(payload))
+    # Write a sibling file, then rename it over the target: a failed save
+    # leaves the previous checkpoint (the preserved best) untouched.
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(len(header).to_bytes(8, "little"))
+            f.write(header)
+            f.write(bytes(payload))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, dict]]:

@@ -1,7 +1,10 @@
 import dataclasses
+import json
 
 import pytest
 
+import poseattn.ablation as ablation
+import poseattn.training as training
 from poseattn.ablation import (
     GRID_ROWS,
     CellResult,
@@ -101,6 +104,9 @@ def test_failed_cell_recorded_and_grid_continues(tiny_dataset_path, tmp_path):
     assert all(c.status.startswith("failed") for c in results)
     csv = (tmp_path / "grid" / "grid.csv").read_text()
     assert "failed" in csv
+    cells = json.loads((tmp_path / "grid" / "grid.json").read_text())
+    assert len(cells) == 2
+    assert all("DatasetError" in c["trace"] and "Traceback" in c["trace"] for c in cells)
 
 
 def test_parallel_workers_match_sequential(tiny_dataset_path, tmp_path):
@@ -118,14 +124,22 @@ def test_parallel_workers_match_sequential(tiny_dataset_path, tmp_path):
     ]
 
 
-def test_two_stream_mode_fuses_with_shared_pose(tiny_dataset_path, tmp_path):
+def test_two_stream_mode_fuses_with_shared_pose(tiny_dataset_path, tmp_path, monkeypatch):
+    loads = []
+    for module in (ablation, training):
+        real = module.load_dataset
+        monkeypatch.setattr(
+            module, "load_dataset", lambda path, real=real: loads.append(path) or real(path)
+        )
     base = base_config(tiny_dataset_path)
     results = run_ablation(
-        base, seeds=[0], out_dir=tmp_path / "grid2", rows=["sum"],
-        two_stream=True, attention_dumps=False,
+        base, seeds=[0], out_dir=tmp_path / "grid2", rows=["sum", "sa_pose"],
+        two_stream=True, attention_dumps=True,
     )
-    assert results[0].status == "ok"
+    assert [c.status for c in results] == ["ok", "ok"]
     assert (tmp_path / "grid2" / "pose-seed0" / "checkpoint.bin").exists()
+    assert (tmp_path / "grid2" / "sa_pose-seed0" / "attention.jsonl").exists()
+    assert loads == [tiny_dataset_path]  # serial cells, fusion and dumps share one load
 
 
 def test_mean_accuracies_and_table_formatting():

@@ -99,6 +99,16 @@ def test_usage_error_exit_code_1():
     assert main([]) == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--batch-size", "0"), ("--dropout", "1.0"), ("--lr", "-1")]
+)
+def test_out_of_range_config_is_usage_error(dataset_path, tmp_path, capsys, flag, value):
+    argv = ["train", "--dataset", str(dataset_path), "--out", str(tmp_path / "run")]
+    assert main(argv + TRAIN_FLAGS + [flag, value]) == 1
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_data_error_exit_code_2(tmp_path):
     assert main(["train", "--dataset", str(tmp_path / "missing.bin")]) == 2
     bad = tmp_path / "bad.bin"

@@ -3,7 +3,7 @@ import pytest
 
 from poseattn import tensor as T
 from poseattn.model import (
-    PatchEncoder,
+    CONDITIONINGS,
     PoseStream,
     RgbStream,
     WindowBatch,
@@ -14,6 +14,7 @@ from poseattn.model import (
 )
 from poseattn.nn import mlp_init
 from poseattn.tensor import ShapeError, Tensor
+from poseattn.verify import TinyDims
 
 
 def make_batch(rng, b=2, t=4, d=6, pose_dim=12, n_classes=3):
@@ -156,8 +157,10 @@ class TestRgbStream:
         stream = make_stream(rng, cond="pose")
         batch = make_batch(np.random.default_rng(14))
         batch.hand_mask[:, :, 2:] = 0.0
-        values = stream.encoder.encode(batch)
-        assert all(np.array_equal(v.data[:, 2:, :], np.zeros((2, 2, 6))) for v in values)
+        batch.features[:, :, 2:] = 0.0
+        zeroed = stream.forward(batch).logits.data
+        batch.features[:, :, 2:] = np.random.default_rng(15).normal(size=(2, 4, 2, 6))
+        assert np.array_equal(stream.forward(batch).logits.data, zeroed)
 
     def test_pose_conditioned_attention_ignores_features(self):
         rng = np.random.default_rng(15)
@@ -277,33 +280,46 @@ class TestPoseStream:
         assert abs(loss.item() - np.log(5)) < 1e-12
 
 
-class TestPatchEncoder:
-    def test_shapes_and_masking(self):
-        rng = np.random.default_rng(41)
-        enc = PatchEncoder(rng, patch_pixels=9, feat_dim=6, hidden=5)
-        batch = make_batch(np.random.default_rng(42))
-        batch.patches = np.random.default_rng(43).normal(size=(2, 4, 4, 9))
-        batch.hand_mask[:, :, 3] = 0.0
-        values = enc.encode(batch)
-        assert len(values) == 4
-        assert values[0].shape == (2, 4, 6)
-        assert all(np.array_equal(v.data[:, 3, :], np.zeros((2, 6))) for v in values)
+# Checkpoints store parameters by these names: a change here breaks loading
+# checkpoints written at CHECKPOINT_VERSION 1.
+_ATTN = ["attn.l0.W", "attn.l0.b", "attn.l1.W", "attn.l1.b"]
+_GRU = ["gru.W_z", "gru.W_r", "gru.W_c", "gru.U_z", "gru.U_r", "gru.U_c", "gru.b_z", "gru.b_r", "gru.b_c"]
+_TEMPORAL = ["temporal.l0.W", "temporal.l0.b", "temporal.l1.W", "temporal.l1.b"]
+_HEAD = ["head.W", "head.b"]
+_LAYER = ["W_z", "W_r", "W_c", "U_z", "U_r", "U_c", "b_z", "b_r", "b_c"]
+PARAMETER_NAMES = {
+    ("hidden", False): _ATTN + _GRU + _HEAD,
+    ("hidden", True): _ATTN + _GRU + _TEMPORAL + _HEAD,
+    ("pose", False): _ATTN + _GRU + _HEAD,
+    ("pose", True): _ATTN + _GRU + _TEMPORAL + _HEAD,
+    ("both", False): _ATTN + _GRU + _HEAD,
+    ("both", True): _ATTN + _GRU + _TEMPORAL + _HEAD,
+    ("sum", False): _GRU + _HEAD,
+    ("sum", True): _GRU + _TEMPORAL + _HEAD,
+    ("concat", False): _GRU + _HEAD,
+    ("concat", True): _GRU + _TEMPORAL + _HEAD,
+    "pose_stream": [f"stack.layer{i}.{n}" for i in range(3) for n in _LAYER] + _HEAD,
+}
 
-    def test_trainable_gradients_flow(self):
-        from poseattn.gradcheck import grad_check_params
 
-        rng = np.random.default_rng(44)
-        enc = PatchEncoder(rng, patch_pixels=4, feat_dim=3, hidden=4)
-        stream = make_stream(np.random.default_rng(45), cond="pose", feat_dim=3, encoder=enc)
-        batch = make_batch(np.random.default_rng(46), d=3)
-        batch.features = None
-        batch.patches = np.random.default_rng(47).normal(size=(2, 4, 4, 4))
-
-        def f():
-            return stream.loss(stream.forward(batch), batch.labels)
-
-        results = grad_check_params(f, enc.parameters(), tol=1e-5)
-        assert all(r.passed for r in results.values())
+def test_parameter_names_and_order_pinned_for_all_cells():
+    d = TinyDims()
+    names = {}
+    for cond in CONDITIONINGS:
+        for ta in (False, True):
+            stream = RgbStream(
+                rng=np.random.default_rng(0), conditioning=cond, use_temporal=ta,
+                n_frames=d.n_frames, feat_dim=d.feat_dim, pose_aug_dim=3 * d.pose_dim,
+                hidden_dim=d.rgb_hidden, n_classes=d.n_classes, attn_hidden=d.attn_hidden,
+                temporal_hidden=d.temporal_hidden,
+            )
+            names[(cond, ta)] = list(stream.parameters())
+    pose = PoseStream(
+        rng=np.random.default_rng(0), pose_dim=d.pose_dim, hidden_dim=d.pose_hidden,
+        n_layers=3, n_classes=d.n_classes,
+    )
+    names["pose_stream"] = list(pose.parameters())
+    assert names == PARAMETER_NAMES
 
 
 class TestFusion:

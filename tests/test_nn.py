@@ -44,21 +44,21 @@ class TestLinear:
 
 class TestMlp:
     def test_zero_params_softmax_is_uniform(self):
-        mlp = nn.Mlp(layers=[linear_zero(8, 16), linear_zero(16, 4)], out_activation="softmax")
-        out = mlp(Tensor(np.random.default_rng(0).normal(size=(3, 8))))
+        mlp = nn.Mlp(layers=[linear_zero(8, 16), linear_zero(16, 4)])
+        out = T.softmax(mlp(Tensor(np.random.default_rng(0).normal(size=(3, 8)))))
         assert np.array_equal(out.data, np.full((3, 4), 0.25))
 
     def test_reference_spatial_attention_dims(self):
         rng = np.random.default_rng(0)
-        mlp = mlp_init(rng, [450, 256, 4], out_activation="softmax")
-        out = mlp(Tensor(rng.normal(size=(5, 450))))
+        mlp = mlp_init(rng, [450, 256, 4])
+        out = T.softmax(mlp(Tensor(rng.normal(size=(5, 450)))))
         assert out.shape == (5, 4)
         assert np.abs(out.data.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_reference_temporal_attention_dims(self):
         rng = np.random.default_rng(0)
-        mlp = mlp_init(rng, [40, 32, 20], out_activation="softmax")
-        out = mlp(Tensor(rng.normal(size=(5, 40))))
+        mlp = mlp_init(rng, [40, 32, 20])
+        out = T.softmax(mlp(Tensor(rng.normal(size=(5, 40)))))
         assert out.shape == (5, 20)
 
     def test_shape_mismatch(self):
@@ -260,11 +260,11 @@ class TestInit:
 
     def test_zero_output_head_gives_uniform_attention(self):
         rng = np.random.default_rng(1)
-        four = mlp_init(rng, [12, 8, 4], out_activation="softmax", zero_output=True)
-        p4 = four(Tensor(rng.normal(size=(6, 12)))).data
+        four = mlp_init(rng, [12, 8, 4], zero_output=True)
+        p4 = T.softmax(four(Tensor(rng.normal(size=(6, 12))))).data
         assert np.array_equal(p4, np.full((6, 4), 0.25))
-        twenty = mlp_init(rng, [40, 32, 20], out_activation="softmax", zero_output=True)
-        p20 = twenty(Tensor(rng.normal(size=(6, 40)))).data
+        twenty = mlp_init(rng, [40, 32, 20], zero_output=True)
+        p20 = T.softmax(twenty(Tensor(rng.normal(size=(6, 40))))).data
         assert np.array_equal(p20, np.full((6, 20), 1.0 / 20.0))
 
 
@@ -296,18 +296,15 @@ class TestDropout:
 def test_every_layer_gradcheck_small_instances():
     rng = np.random.default_rng(13)
     layer = linear_init(rng, 6, 4)
-    mlp = mlp_init(rng, [6, 5, 3], out_activation="softmax")
+    mlp = mlp_init(rng, [6, 5, 3])
     x = Tensor(rng.normal(size=(2, 6)))
     w = Tensor(rng.normal(size=(2, 3)))
 
     def f():
         a = T.sum_axis(T.multiply(layer(x), Tensor(np.ones((2, 4)))))
-        b = T.sum_axis(T.multiply(mlp(x), w))
+        b = T.sum_axis(T.multiply(T.softmax(mlp(x)), w))
         return T.add(a, b)
 
-    params = {"lin.W": layer.W, "lin.b": layer.b}
-    for i, l in enumerate(mlp.layers):
-        params[f"mlp.l{i}.W"] = l.W
-        params[f"mlp.l{i}.b"] = l.b
+    params = {**layer.named("lin"), **mlp.named("mlp")}
     results = grad_check_params(f, params, tol=1e-5)
     assert all(r.passed for r in results.values())

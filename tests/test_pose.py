@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from poseattn.pose import (
-    CropWindow,
     MissingSubjectError,
     PoseSequence,
     augment_pose,
-    crop_window,
     eval_window_starts,
     motion_stats,
     normalize_pose,
-    sample_windows,
+    sample_window,
     window_indices,
 )
 
@@ -165,48 +163,24 @@ class TestWindows:
 
     def test_eval_always_five_windows_of_length_t(self):
         for length in (3, 20, 21, 37, 100):
-            windows = sample_windows(length, 20, "eval")
+            starts = eval_window_starts(length, 20)
+            windows = [window_indices(length, start, 20) for start in starts]
             assert len(windows) == 5
             assert all(len(w) == 20 for w in windows)
             assert all(w.max() < length for w in windows)
 
     def test_train_deterministic_under_seed(self):
-        a = sample_windows(100, 20, "train", np.random.default_rng(3))
-        b = sample_windows(100, 20, "train", np.random.default_rng(3))
-        assert len(a) == 1
-        assert np.array_equal(a[0], b[0])
+        a = sample_window(100, 20, np.random.default_rng(3))
+        b = sample_window(100, 20, np.random.default_rng(3))
+        assert a.shape == (20,)
+        assert np.array_equal(a, b)
 
     def test_short_sequence_clamps_last_frame(self):
         w = window_indices(3, 0, 6)
         assert np.array_equal(w, [0, 1, 2, 2, 2, 2])
 
     def test_bad_mode_and_length(self):
-        with pytest.raises(ValueError, match="mode"):
-            sample_windows(10, 5, "test")
+        # The sampler has one mode (training); eval windows come from
+        # eval_window_starts.  A non-positive length is still rejected.
         with pytest.raises(ValueError, match="positive"):
-            sample_windows(10, 0, "eval")
-
-
-class TestCropWindow:
-    def test_centering(self):
-        w = crop_window((100.0, 100.0), 50, (1920, 1080))
-        assert (w.u0, w.v0, w.size) == (75, 75, 50)
-
-    def test_clamped_to_image(self):
-        w = crop_window((10.0, 10.0), 50, (1920, 1080))
-        assert (w.u0, w.v0) == (0, 0)
-        far = crop_window((1915.0, 1078.0), 50, (1920, 1080))
-        assert (far.u0, far.v0) == (1870, 1030)
-
-    def test_absent_hand_degenerates_to_corner(self):
-        w = crop_window((0.0, 0.0), 50, (1920, 1080), present=False)
-        assert (w.u0, w.v0) == (0, 0)
-        assert not w.present
-
-    def test_crop_larger_than_image_rejected(self):
-        with pytest.raises(ValueError, match="crop"):
-            crop_window((5.0, 5.0), 50, (40, 1080))
-
-    def test_nonpositive_crop_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            crop_window((5.0, 5.0), 0, (40, 40))
+            sample_window(10, 0, np.random.default_rng(0))

@@ -10,6 +10,7 @@ from poseattn.model import StreamOutput
 from poseattn.synth import SyntheticSpec, generate
 from poseattn.tensor import NumericError, Tensor
 from poseattn.training import (
+    ConfigError,
     ModelDims,
     PreparedSequence,
     RunConfig,
@@ -247,6 +248,39 @@ class TestCheckpoint:
         assert acc == result.test_acc["test_seeds"]
         assert streams["rgb"]["adam"].step == result.streams["rgb"].adam.step
 
+    def test_failed_save_keeps_previous_checkpoint(self, tiny_dataset_path, tmp_path, monkeypatch):
+        out = tmp_path / "ck"
+        config = tiny_config(tiny_dataset_path, max_epochs=1, out_dir=str(out))
+        result = run_train(config)
+        path = out / "checkpoint.bin"
+        good = path.read_bytes()
+
+        class TornWrite:
+            """File whose fourth write (the payload) stops halfway with an error."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 4:
+                    self.f.write(data[: len(data) // 2])
+                    raise OSError("injected: disk full")
+                return self.f.write(data)
+
+        monkeypatch.setattr(training, "open", lambda *a, **k: TornWrite(open(*a, **k)), raising=False)
+        dims = ModelDims.from_dataset(result.dataset, config)
+        with pytest.raises(OSError, match="injected"):
+            training.save_checkpoint(path, config, dims, result)
+        assert path.read_bytes() == good
+        assert sorted(p.name for p in out.iterdir() if "checkpoint" in p.name) == ["checkpoint.bin"]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"garbage!" * 4)
@@ -266,6 +300,23 @@ class TestConfig:
     def test_version_mismatch_rejected(self):
         with pytest.raises(DatasetError, match="version"):
             RunConfig.from_json({**RunConfig().to_json(), "config_version": 2})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch_size", 0), ("batch_size", 1.5), ("clip_len", 0), ("feat_dim", 0),
+            ("rgb_hidden", 0), ("pose_hidden", 0), ("pose_layers", 0), ("attn_hidden", 0),
+            ("temporal_hidden", 0), ("max_epochs", 0), ("patience", 0),
+            ("dropout", 1.0), ("dropout", -0.1), ("dropout", "0.5"),
+            ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
+            ("variant", "both"), ("conditioning", "hands"), ("pooling", "max"),
+        ],
+    )
+    def test_out_of_range_field_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=f"config {field}:"):
+            RunConfig(**{field: value})
+        with pytest.raises(ConfigError, match=f"config {field}:"):
+            RunConfig.from_json({**RunConfig().to_json(), field: value})
 
     def test_file_load_with_overrides(self, tmp_path):
         path = tmp_path / "c.json"
