@@ -30,6 +30,10 @@ from .nn import (
 from .tensor import ShapeError, Tensor
 
 ATTENTION_CONDITIONINGS = ("hidden", "pose", "both")
+# What each attention conditioning feeds the attention network.  Only those
+# that read the hidden state make the GRU input depend on the recurrence.
+POSE_CONDITIONINGS = ("pose", "both")
+HIDDEN_CONDITIONINGS = ("hidden", "both")
 BASELINE_INTEGRATIONS = ("sum", "concat")
 CONDITIONINGS = ATTENTION_CONDITIONINGS + BASELINE_INTEGRATIONS
 
@@ -80,14 +84,12 @@ def spatial_attention_weights(
     training: bool = False,
 ) -> Tensor:
     """Softmax weights over the 4 hand slots for one frame."""
-    if cond == "pose":
-        x = pose_aug_t
-    elif cond == "hidden":
-        x = h_prev
-    elif cond == "both":
-        x = T.concat([pose_aug_t, h_prev], axis=1)
-    else:
+    if cond not in ATTENTION_CONDITIONINGS:
         raise ValueError(f"conditioning {cond!r} does not use an attention network")
+    parts = [pose_aug_t] if cond in POSE_CONDITIONINGS else []
+    if cond in HIDDEN_CONDITIONINGS:
+        parts.append(h_prev)
+    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
     logits = attn(x, dropout_rate=dropout_rate, rng=rng, training=training)
     if mask_t is not None:
         logits = T.add(logits, Tensor((1.0 - mask_t) * _MASK_BIAS))
@@ -149,11 +151,9 @@ class RgbStream:
 
         self.attn: Mlp | None = None
         if conditioning in ATTENTION_CONDITIONINGS:
-            cond_dim = {
-                "pose": pose_aug_dim,
-                "hidden": hidden_dim,
-                "both": pose_aug_dim + hidden_dim,
-            }[conditioning]
+            cond_dim = (pose_aug_dim if conditioning in POSE_CONDITIONINGS else 0) + (
+                hidden_dim if conditioning in HIDDEN_CONDITIONINGS else 0
+            )
             # Zero output layer: the initial attention distribution is exactly uniform.
             self.attn = mlp_init(
                 rng, [cond_dim, attn_hidden, N_HAND_SLOTS], zero_output=True
@@ -199,14 +199,16 @@ class RgbStream:
                 f"feature dim {batch.features.shape[-1]} != stream dim {self.feat_dim}"
             )
         b = batch.batch_size
-        # Stored glimpse features stand in for a frozen backbone; absent hands read zero.
-        values = batch.features * batch.hand_mask[..., None]
 
+        # Unless attention reads h, every step's GRU input is known before the
+        # recurrence starts, and the GRU runs once over the whole sequence.
+        feeds_back = self.conditioning in HIDDEN_CONDITIONINGS
         h = Tensor(np.zeros((b, self.hidden_dim)))
-        hiddens: list[Tensor] = []
+        steps: list[Tensor] = []  # GRU states if feeds_back, else GRU inputs
         attentions: list[Tensor] = []
         for t in range(batch.n_frames):
-            v_t = Tensor(values[:, t])
+            # Stored glimpse features stand in for a frozen backbone; absent hands read zero.
+            v_t = Tensor(batch.features[:, t] * batch.hand_mask[:, t, :, None])
             if self.conditioning in ATTENTION_CONDITIONINGS:
                 p_t = spatial_attention_weights(
                     self.attn,
@@ -223,10 +225,12 @@ class RgbStream:
             else:
                 ctx = integrate_baseline(v_t, self.conditioning)
             ctx = dropout(ctx, self.dropout_rate, rng, training)
-            h = gru_cell_step(self.gru, h, ctx)
-            hiddens.append(h)
+            if feeds_back:
+                h = gru_cell_step(self.gru, h, ctx)
+            steps.append(h if feeds_back else ctx)
 
-        hidden_states = T.stack(hiddens, axis=1)  # (B, T, H)
+        stacked = T.stack(steps, axis=1)
+        hidden_states = stacked if feeds_back else self.gru.run(stacked)  # (B, T, H)
         spatial = T.stack(attentions, axis=1) if attentions else None
 
         if self.use_temporal:
@@ -304,10 +308,10 @@ class PoseStream:
     ) -> StreamOutput:
         if batch.n_frames == 0:
             raise ShapeError("pose stream: empty window")
-        xs = [Tensor(batch.pose_raw[:, t]) for t in range(batch.n_frames)]
         rate = self.dropout_rate if self.stack_dropout else 0.0
-        top = self.stack.forward(xs, dropout_rate=rate, rng=rng, training=training)
-        hidden_states = T.stack(top, axis=1)
+        hidden_states = self.stack.forward(
+            Tensor(batch.pose_raw), dropout_rate=rate, rng=rng, training=training
+        )
         per_step = self.head(hidden_states)
         logits = T.mean_axis(per_step, axis=1)
         return StreamOutput(

@@ -29,9 +29,12 @@ class Linear:
         return {f"{prefix}.W": self.W, f"{prefix}.b": self.b}
 
 
-def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
+def glorot_uniform(
+    rng: np.random.Generator, out_dim: int, in_dim: int, gates: int = 1
+) -> np.ndarray:
+    """``gates`` (out, in) Glorot draws, one after another, stacked as (gates*out, in)."""
     a = np.sqrt(6.0 / (in_dim + out_dim))
-    return rng.uniform(-a, a, size=(out_dim, in_dim))
+    return rng.uniform(-a, a, size=(gates, out_dim, in_dim)).reshape(gates * out_dim, in_dim)
 
 
 def linear_init(rng: np.random.Generator, in_dim: int, out_dim: int) -> Linear:
@@ -100,98 +103,84 @@ def dropout(
 
 @dataclass
 class GruParams:
-    """One GRU cell: update gate z, reset gate r, candidate c.
+    """One GRU cell with its gates stacked in z, r, c order: W (3H, in), U (3H, H), b (3H).
 
     Convention: z = sigmoid(W_z x + U_z h + b_z), r likewise,
     c = tanh(W_c x + U_c (r*h) + b_c), h' = (1-z)*h + z*c.
     """
 
-    W_z: Tensor
-    W_r: Tensor
-    W_c: Tensor
-    U_z: Tensor
-    U_r: Tensor
-    U_c: Tensor
-    b_z: Tensor
-    b_r: Tensor
-    b_c: Tensor
+    W: Tensor
+    U: Tensor
+    b: Tensor
 
     @property
     def hidden_dim(self) -> int:
-        return self.U_z.shape[0]
+        return self.U.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.W_z.shape[1]
+        return self.W.shape[1]
 
     def named(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.{name}": getattr(self, name)
-            for name in ("W_z", "W_r", "W_c", "U_z", "U_r", "U_c", "b_z", "b_r", "b_c")
-        }
+        return {f"{prefix}.W": self.W, f"{prefix}.U": self.U, f"{prefix}.b": self.b}
+
+    def run(self, xs: Tensor, h0: Tensor | None = None) -> Tensor:
+        """Hidden states (B, T, H) over inputs xs (B, T, in), from h0 (zeros by default).
+
+        The input projection of every step is one GEMM over the B*T rows;
+        only the recurrence runs step by step, inside ``gru_scan``.
+        """
+        if h0 is None:
+            h0 = Tensor(np.zeros((xs.shape[0], self.hidden_dim)))
+        return T.gru_scan(T.linear(xs, self.W, self.b), self.U, h0)
 
 
 def gru_init(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> GruParams:
-    def w():
-        return Tensor(glorot_uniform(rng, hidden_dim, input_dim), requires_grad=True)
-
-    def u():
-        return Tensor(glorot_uniform(rng, hidden_dim, hidden_dim), requires_grad=True)
-
-    def b():
-        return Tensor(np.zeros(hidden_dim), requires_grad=True)
-
-    return GruParams(W_z=w(), W_r=w(), W_c=w(), U_z=u(), U_r=u(), U_c=u(), b_z=b(), b_r=b(), b_c=b())
+    return GruParams(
+        W=Tensor(glorot_uniform(rng, hidden_dim, input_dim, gates=3), requires_grad=True),
+        U=Tensor(glorot_uniform(rng, hidden_dim, hidden_dim, gates=3), requires_grad=True),
+        b=Tensor(np.zeros(3 * hidden_dim), requires_grad=True),
+    )
 
 
 def gru_cell_step(params: GruParams, h_prev: Tensor, x: Tensor) -> Tensor:
+    """One step of the recurrence: ``run`` over a sequence of length 1."""
     if h_prev.shape[-1] != params.hidden_dim:
         raise ShapeError(
             f"gru_cell_step: hidden dim {h_prev.shape[-1]} != cell dim {params.hidden_dim}"
         )
     if x.shape[-1] != params.input_dim:
         raise ShapeError(f"gru_cell_step: input dim {x.shape[-1]} != cell dim {params.input_dim}")
-    z = T.sigmoid(_affine(x, params.W_z, h_prev, params.U_z, params.b_z))
-    r = T.sigmoid(_affine(x, params.W_r, h_prev, params.U_r, params.b_r))
-    c = T.tanh(_affine(x, params.W_c, T.multiply(r, h_prev), params.U_c, params.b_c))
-    one_minus_z = T.subtract(Tensor(np.ones_like(z.data)), z)
-    return T.add(T.multiply(one_minus_z, h_prev), T.multiply(z, c))
-
-
-def _affine(x: Tensor, W: Tensor, h: Tensor, U: Tensor, b: Tensor) -> Tensor:
-    return T.add(T.linear(x, W, b), T.linear(h, U))
+    b = x.shape[0]
+    out = params.run(T.reshape(x, (b, 1, params.input_dim)), h_prev)
+    return T.reshape(out, (b, params.hidden_dim))
 
 
 @dataclass
 class GruStack:
-    """Stacked GRU layers; layer l consumes layer l-1's hidden state."""
+    """Stacked GRU layers; layer l consumes layer l-1's hidden states."""
 
     cells: list[GruParams]
 
     def forward(
         self,
-        xs: Sequence[Tensor],
+        xs: Tensor,
         dropout_rate: float = 0.0,
         rng: np.random.Generator | None = None,
         training: bool = False,
-    ) -> list[Tensor]:
-        """Run the stack over a sequence; returns the top-layer state per step."""
-        if not xs:
+    ) -> Tensor:
+        """Run the stack over xs (B, T, in), one layer at a time; returns the
+        top layer's states (B, T, H)."""
+        if xs.ndim != 3:
+            raise ShapeError(f"gru_stack_forward: inputs must be (B, T, in), got {xs.shape}")
+        if xs.shape[1] == 0:
             raise ShapeError("gru_stack_forward: empty input sequence")
-        batch = xs[0].shape[:-1]
-        states = [
-            Tensor(np.zeros(batch + (cell.hidden_dim,))) for cell in self.cells
-        ]
-        top: list[Tensor] = []
-        for x in xs:
-            inp = x
-            for layer, cell in enumerate(self.cells):
-                if layer > 0:
-                    inp = dropout(inp, dropout_rate, rng, training)
-                states[layer] = gru_cell_step(cell, states[layer], inp)
-                inp = states[layer]
-            top.append(states[-1])
-        return top
+        h = xs
+        for layer, cell in enumerate(self.cells):
+            if layer > 0:
+                h = dropout(h, dropout_rate, rng, training)
+            h = cell.run(h)
+        return h
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

@@ -440,22 +440,85 @@ def log_softmax(a: Tensor) -> Tensor:
     return _make(z - np.log(s), "log_softmax", (a,), (vjp,))
 
 
-# Binary serialization: u32 rank, u32 extents, little-endian f64 payload.
-# Checkpoint files are built from these blocks.
+def gru_scan(xp: Tensor, U: Tensor, h0: Tensor) -> Tensor:
+    """GRU recurrence over a projected input sequence, as one node.
 
+    ``xp`` (B, T, 3H) holds each step's input projection ``x W^T + b`` with
+    the gates stacked in z, r, c order, ``U`` (3H, H) the recurrent weights
+    stacked the same way and ``h0`` (B, H) the initial state.  Per step:
+    ``z, r = sigmoid(xp_zr + h U_zr^T)``, ``c = tanh(xp_c + (r*h) U_c^T)``,
+    ``h' = (1-z)*h + z*c``, with ``sigmoid`` as in :func:`sigmoid`.  Returns
+    every ``h'`` as (B, T, H).
 
-def write_array(buf: bytearray, arr: Array) -> None:
-    buf += np.uint32(arr.ndim).tobytes()
-    buf += np.asarray(arr.shape, dtype="<u4").tobytes()
-    buf += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    The VJP sweeps the sequence backward once, shared by all three parents;
+    the recurrent weight gradient is two GEMMs over the B*T saved rows.
+    """
+    xd, Ud, hd = xp.data, U.data, h0.data
+    if (
+        xd.ndim != 3
+        or Ud.ndim != 2
+        or xd.shape[1] == 0
+        or Ud.shape[0] != 3 * Ud.shape[1]
+        or xd.shape[2] != Ud.shape[0]
+        or hd.shape != (xd.shape[0], Ud.shape[1])
+    ):
+        raise ShapeError(f"gru_scan: xp {xd.shape}, U {Ud.shape}, h0 {hd.shape} do not conform")
+    B, n, _ = xd.shape
+    H = Ud.shape[1]
+    U_zr, U_c = Ud[: 2 * H], Ud[2 * H :]
+    zr = np.empty((B, n, 2 * H))  # gate values, saved for the sweep
+    c = np.empty((B, n, H))
+    hs = np.empty((B, n, H))
+    h = hd
+    for t in range(n):
+        a = zr[:, t]
+        np.add(xd[:, t, : 2 * H], h @ U_zr.T, out=a)
+        a *= 0.5
+        np.tanh(a, out=a)
+        a += 1.0
+        a *= 0.5
+        z, r = a[:, :H], a[:, H:]
+        c_t = c[:, t]
+        np.add(xd[:, t, 2 * H :], (r * h) @ U_c.T, out=c_t)
+        np.tanh(c_t, out=c_t)
+        h_t = hs[:, t]
+        np.multiply(1.0 - z, h, out=h_t)
+        h_t += z * c_t
+        h = h_t
+    swept: list = [None, None]  # [g, (dxp, dh0)]: the first VJP called runs the sweep
 
+    def sweep(g):
+        if swept[0] is not g:
+            dxp = np.empty((B, n, 3 * H))
+            dh = np.zeros((B, H))
+            for t in reversed(range(n)):
+                dh += g[:, t]
+                z, r = zr[:, t, :H], zr[:, t, H:]
+                c_t, hp = c[:, t], (hs[:, t - 1] if t else hd)
+                d = dxp[:, t]
+                np.multiply(dh * z, 1.0 - c_t * c_t, out=d[:, 2 * H :])
+                drh = d[:, 2 * H :] @ U_c
+                np.multiply(dh * (c_t - hp), z * (1.0 - z), out=d[:, :H])
+                np.multiply(drh * hp, r * (1.0 - r), out=d[:, H : 2 * H])
+                dh *= 1.0 - z
+                dh += drh * r
+                dh += d[:, : 2 * H] @ U_zr
+            swept[:] = g, (dxp, dh)
+        return swept[1]
 
-def read_array(blob: bytes, pos: int) -> tuple[Array, int]:
-    ndim = int(np.frombuffer(blob, "<u4", 1, pos)[0])
-    pos += 4
-    shape = tuple(int(x) for x in np.frombuffer(blob, "<u4", ndim, pos))
-    pos += 4 * ndim
-    n = int(np.prod(shape)) if shape else 1
-    arr = np.frombuffer(blob, "<f8", n, pos).reshape(shape).copy()
-    pos += 8 * n
-    return arr, pos
+    def vjp_xp(g):
+        return sweep(g)[0]
+
+    def vjp_U(g):
+        rows = sweep(g)[0].reshape(B * n, 3 * H)
+        h_prev = np.concatenate((hd[:, None], hs[:, :-1]), axis=1)
+        rh = (zr[:, :, H:] * h_prev).reshape(B * n, H)
+        dU = np.empty_like(Ud)
+        np.matmul(rows[:, : 2 * H].T, h_prev.reshape(B * n, H), out=dU[: 2 * H])
+        np.matmul(rows[:, 2 * H :].T, rh, out=dU[2 * H :])
+        return dU
+
+    def vjp_h0(g):
+        return sweep(g)[1]
+
+    return _make(hs, "gru_scan", (xp, U, h0), (vjp_xp, vjp_U, vjp_h0))

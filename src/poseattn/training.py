@@ -29,7 +29,7 @@ from .pose import (
     sample_window,
     window_indices,
 )
-from .tensor import NumericError, Tape, read_array, write_array
+from .tensor import NumericError, Tape
 
 CONFIG_VERSION = 1
 
@@ -311,8 +311,9 @@ def train_stream(
     rows: list[EpochRow] = []
 
     def restore_best() -> None:
+        # The snapshot is private to this call, so its arrays become the parameters.
         for k, p in params.items():
-            p.data = best_snapshot[k].copy()
+            p.data = best_snapshot[k]
 
     try:
         for epoch in range(config.max_epochs):
@@ -461,30 +462,39 @@ def _write_metrics(path: Path, result: TrainResult) -> None:
 
 
 CHECKPOINT_MAGIC = b"POSECKP1"
-CHECKPOINT_VERSION = 1
+# Version 2 stores each GRU's gates stacked (W, U, b); version 1 stored them
+# as nine per-gate tensors.
+CHECKPOINT_VERSION = 2
+
+# After the header, the payload is one block per array: u32 rank, u32
+# extents, then the little-endian f64 values.  Per stream, in name order:
+# every parameter in name order, then Adam's m and v for each.
+
+
+def _write_array(f, arr: np.ndarray) -> None:
+    f.write(np.asarray((arr.ndim, *arr.shape), dtype="<u4").tobytes())
+    f.write(np.ascontiguousarray(arr, dtype="<f8").reshape(-1))
+
+
+def _read_array(f, path, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Read one payload block, which must hold an array of ``shape``."""
+    head = f.read(4 * (1 + len(shape)))
+    if len(head) < 4 * (1 + len(shape)):
+        raise DatasetError(f"{path}: checkpoint truncated at {name}")
+    ndim, *extents = (int(x) for x in np.frombuffer(head, "<u4"))
+    if ndim != len(shape) or tuple(extents) != shape:
+        raise DatasetError(f"{path}: checkpoint {name}: stored rank {ndim} shape {tuple(extents)} != {shape}")
+    arr = np.empty(shape, dtype="<f8")
+    if f.readinto(memoryview(arr.reshape(-1)).cast("B")) < arr.nbytes:
+        raise DatasetError(f"{path}: checkpoint truncated in {name}")
+    return arr
 
 
 def save_checkpoint(
     path: str | Path, config: RunConfig, dims: ModelDims, result: TrainResult, partial: bool = False
 ) -> None:
-    payload = bytearray()
-    streams_meta = {}
-    for name, trained in result.streams.items():
-        params = trained.stream.parameters()
-        order = sorted(params)
-        offset_names = []
-        for pname in order:
-            offset_names.append(pname)
-            write_array(payload, params[pname].data)
-        for pname in order:
-            write_array(payload, trained.adam.m.get(pname, np.zeros_like(params[pname].data)))
-            write_array(payload, trained.adam.v.get(pname, np.zeros_like(params[pname].data)))
-        streams_meta[name] = {
-            "params": offset_names,
-            "adam_step": trained.adam.step,
-            "best_epoch": trained.best_epoch,
-            "best_val_acc": trained.best_val_acc,
-        }
+    # Streams in name order, the order of the sorted header that the loader walks.
+    streams = {name: (trained, trained.stream.parameters()) for name, trained in sorted(result.streams.items())}
     header = json.dumps(
         {
             "version": CHECKPOINT_VERSION,
@@ -492,7 +502,15 @@ def save_checkpoint(
             "config": config.to_json(),
             "dims": dataclasses.asdict(dims),
             "dataset_hash": result.dataset_hash,
-            "streams": streams_meta,
+            "streams": {
+                name: {
+                    "params": sorted(params),
+                    "adam_step": trained.adam.step,
+                    "best_epoch": trained.best_epoch,
+                    "best_val_acc": trained.best_val_acc,
+                }
+                for name, (trained, params) in streams.items()
+            },
         },
         sort_keys=True,
     ).encode()
@@ -505,7 +523,13 @@ def save_checkpoint(
             f.write(CHECKPOINT_MAGIC)
             f.write(len(header).to_bytes(8, "little"))
             f.write(header)
-            f.write(bytes(payload))
+            for trained, params in streams.values():
+                order = sorted(params)
+                for pname in order:
+                    _write_array(f, params[pname].data)
+                for pname in order:
+                    _write_array(f, trained.adam.m.get(pname, np.zeros_like(params[pname].data)))
+                    _write_array(f, trained.adam.v.get(pname, np.zeros_like(params[pname].data)))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -514,39 +538,48 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, dict]]:
     """Rebuild stream models and optimizer state from a checkpoint file."""
-    blob = Path(path).read_bytes()
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise DatasetError(f"{path}: not a checkpoint file")
-    header_len = int.from_bytes(blob[8:16], "little")
-    meta = json.loads(blob[16 : 16 + header_len].decode())
-    if meta["version"] != CHECKPOINT_VERSION:
-        raise DatasetError(f"checkpoint version {meta['version']} != {CHECKPOINT_VERSION}")
-    config = RunConfig.from_json(meta["config"])
-    dims = ModelDims(**meta["dims"])
-    pos = 16 + header_len
-    streams: dict[str, dict] = {}
-    for name, smeta in meta["streams"].items():
-        if name == "pose":
-            stream = build_pose_stream(config, dims, _rng(config.seed, _STREAM_TAG["pose"], 0))
-        else:
-            stream = build_rgb_stream(config, dims, _rng(config.seed, _STREAM_TAG["rgb"], 0))
-        params = stream.parameters()
-        adam = AdamState(lr=config.lr, step=smeta["adam_step"])
-        for pname in smeta["params"]:
-            arr, pos = read_array(blob, pos)
-            if arr.shape != params[pname].data.shape:
-                raise DatasetError(f"checkpoint param {pname}: shape {arr.shape} mismatch")
-            params[pname].data = arr
-        for pname in smeta["params"]:
-            adam.m[pname], pos = read_array(blob, pos)
-            adam.v[pname], pos = read_array(blob, pos)
-        streams[name] = {
-            "stream": stream,
-            "adam": adam,
-            "best_epoch": smeta["best_epoch"],
-            "best_val_acc": smeta["best_val_acc"],
-            "dataset_hash": meta["dataset_hash"],
-        }
+    with open(path, "rb") as f:
+        if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise DatasetError(f"{path}: not a checkpoint file")
+        header_len = int.from_bytes(f.read(8), "little")
+        header = f.read(header_len)
+        try:
+            meta = json.loads(header.decode())
+        except ValueError as e:
+            raise DatasetError(f"{path}: checkpoint header is truncated or corrupt: {e}") from e
+        if meta["version"] == 1:
+            raise DatasetError(
+                f"{path}: checkpoint version 1 stores each GRU as nine per-gate tensors; "
+                f"GRU gates are now stacked (version {CHECKPOINT_VERSION}), so retrain the model"
+            )
+        if meta["version"] != CHECKPOINT_VERSION:
+            raise DatasetError(f"{path}: checkpoint version {meta['version']} != {CHECKPOINT_VERSION}")
+        config = RunConfig.from_json(meta["config"])
+        dims = ModelDims(**meta["dims"])
+        streams: dict[str, dict] = {}
+        for name, smeta in meta["streams"].items():
+            if name == "pose":
+                stream = build_pose_stream(config, dims, _rng(config.seed, _STREAM_TAG["pose"], 0))
+            else:
+                stream = build_rgb_stream(config, dims, _rng(config.seed, _STREAM_TAG["rgb"], 0))
+            params = stream.parameters()
+            unknown = set(smeta["params"]) - set(params)
+            if unknown:
+                raise DatasetError(f"{path}: checkpoint {name} stream has unknown parameters {sorted(unknown)}")
+            adam = AdamState(lr=config.lr, step=smeta["adam_step"])
+            for pname in smeta["params"]:
+                params[pname].data = _read_array(f, path, pname, params[pname].data.shape)
+            for pname in smeta["params"]:
+                shape = params[pname].data.shape
+                adam.m[pname] = _read_array(f, path, f"{pname} (adam m)", shape)
+                adam.v[pname] = _read_array(f, path, f"{pname} (adam v)", shape)
+            streams[name] = {
+                "stream": stream,
+                "adam": adam,
+                "best_epoch": smeta["best_epoch"],
+                "best_val_acc": smeta["best_val_acc"],
+                "dataset_hash": meta["dataset_hash"],
+            }
     return config, dims, streams
 
 

@@ -190,6 +190,22 @@ class TestRgbStream:
         assert out.spatial_attention is None
         assert out.logits.shape == (2, 3)
 
+    @pytest.mark.parametrize("cond, scans", [("pose", 1), ("sum", 1), ("concat", 1), ("hidden", 4), ("both", 4)])
+    def test_gru_runs_once_unless_attention_reads_the_state(self, cond, scans, monkeypatch):
+        ops = []
+        make = T._make
+
+        def recording_make(out_data, op, parents, vjps):
+            ops.append(op)
+            return make(out_data, op, parents, vjps)
+
+        monkeypatch.setattr(T, "_make", recording_make)
+        stream = make_stream(np.random.default_rng(25), cond=cond, ta=True)
+        batch = make_batch(np.random.default_rng(26))
+        with T.Tape():
+            stream.forward(batch, training=True, rng=np.random.default_rng(27))
+        assert ops.count("gru_scan") == scans
+
     def test_deterministic_forward_given_seed(self):
         outs = []
         for _ in range(2):
@@ -281,12 +297,12 @@ class TestPoseStream:
 
 
 # Checkpoints store parameters by these names: a change here breaks loading
-# checkpoints written at CHECKPOINT_VERSION 1.
+# checkpoints written at CHECKPOINT_VERSION 2.
 _ATTN = ["attn.l0.W", "attn.l0.b", "attn.l1.W", "attn.l1.b"]
-_GRU = ["gru.W_z", "gru.W_r", "gru.W_c", "gru.U_z", "gru.U_r", "gru.U_c", "gru.b_z", "gru.b_r", "gru.b_c"]
+_GRU = ["gru.W", "gru.U", "gru.b"]
 _TEMPORAL = ["temporal.l0.W", "temporal.l0.b", "temporal.l1.W", "temporal.l1.b"]
 _HEAD = ["head.W", "head.b"]
-_LAYER = ["W_z", "W_r", "W_c", "U_z", "U_r", "U_c", "b_z", "b_r", "b_c"]
+_LAYER = ["W", "U", "b"]
 PARAMETER_NAMES = {
     ("hidden", False): _ATTN + _GRU + _HEAD,
     ("hidden", True): _ATTN + _GRU + _TEMPORAL + _HEAD,

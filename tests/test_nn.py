@@ -24,11 +24,24 @@ from poseattn.tensor import NumericError, ShapeError, Tensor
 
 def zero_gru(input_dim, hidden_dim):
     z = lambda *s: Tensor(np.zeros(s), requires_grad=True)
-    return GruParams(
-        W_z=z(hidden_dim, input_dim), W_r=z(hidden_dim, input_dim), W_c=z(hidden_dim, input_dim),
-        U_z=z(hidden_dim, hidden_dim), U_r=z(hidden_dim, hidden_dim), U_c=z(hidden_dim, hidden_dim),
-        b_z=z(hidden_dim), b_r=z(hidden_dim), b_c=z(hidden_dim),
-    )
+    return GruParams(W=z(3 * hidden_dim, input_dim), U=z(3 * hidden_dim, hidden_dim), b=z(3 * hidden_dim))
+
+
+def reference_gru_states(cell, xs, h):
+    """The recurrence in per-gate tape ops, one step at a time: z, r, c each
+    from their own row block of W, U and b."""
+    H = cell.hidden_dim
+    gate = lambda p, k: Tensor(p.data[k * H : (k + 1) * H])
+    W, U, b = ([gate(p, k) for k in range(3)] for p in (cell.W, cell.U, cell.b))
+    states = []
+    for t in range(xs.shape[1]):
+        x = Tensor(xs.data[:, t])
+        z = T.sigmoid(T.add(T.linear(x, W[0], b[0]), T.linear(h, U[0])))
+        r = T.sigmoid(T.add(T.linear(x, W[1], b[1]), T.linear(h, U[1])))
+        c = T.tanh(T.add(T.linear(x, W[2], b[2]), T.linear(T.multiply(r, h), U[2])))
+        h = T.add(T.multiply(T.subtract(Tensor(np.ones_like(z.data)), z), h), T.multiply(z, c))
+        states.append(h.data)
+    return np.stack(states, axis=1)
 
 
 class TestLinear:
@@ -103,30 +116,49 @@ class TestGru:
     def test_stack_reference_dims(self):
         rng = np.random.default_rng(5)
         stack = gru_stack_init(rng, 150, 150, 3)
-        xs = [Tensor(rng.normal(size=(1, 150))) for _ in range(20)]
-        states = stack.forward(xs)
-        assert len(states) == 20
-        assert all(s.shape == (1, 150) for s in states)
+        states = stack.forward(Tensor(rng.normal(size=(1, 20, 150))))
+        assert states.shape == (1, 20, 150)
 
     def test_single_layer_stack_equals_cell_steps(self):
         rng = np.random.default_rng(6)
         stack = gru_stack_init(rng, 5, 7, 1)
-        xs = [Tensor(rng.normal(size=(2, 5))) for _ in range(4)]
-        states = stack.forward(xs)
+        xs = rng.normal(size=(2, 4, 5))
+        states = stack.forward(Tensor(xs))
         h = Tensor(np.zeros((2, 7)))
-        for x, s in zip(xs, states):
-            h = gru_cell_step(stack.cells[0], h, x)
-            assert np.array_equal(h.data, s.data)
+        for t in range(4):
+            h = gru_cell_step(stack.cells[0], h, Tensor(xs[:, t]))
+            assert np.array_equal(h.data, states.data[:, t])
 
     def test_zero_input_zero_params_stays_zero(self):
         stack = nn.GruStack(cells=[zero_gru(4, 4), zero_gru(4, 4)])
-        xs = [Tensor(np.zeros((1, 4))) for _ in range(5)]
-        assert all(np.array_equal(s.data, np.zeros((1, 4))) for s in stack.forward(xs))
+        states = stack.forward(Tensor(np.zeros((1, 5, 4))))
+        assert np.array_equal(states.data, np.zeros((1, 5, 4)))
 
     def test_empty_sequence_rejected(self):
         stack = gru_stack_init(np.random.default_rng(0), 4, 4, 1)
         with pytest.raises(ShapeError, match="empty"):
-            stack.forward([])
+            stack.forward(Tensor(np.zeros((1, 0, 4))))
+
+    def test_run_matches_per_gate_reference(self):
+        rng = np.random.default_rng(15)
+        cell = gru_init(rng, 6, 5)
+        cell.b.data = rng.normal(size=15)
+        xs = Tensor(rng.normal(size=(3, 7, 6)))
+        h0 = Tensor(rng.normal(size=(3, 5)))
+        got = cell.run(xs, h0).data
+        assert got.shape == (3, 7, 5)
+        assert np.abs(got - reference_gru_states(cell, xs, h0)).max() <= 1e-12
+
+    def test_init_stacks_the_per_gate_draws(self):
+        # The stacked matrices hold exactly the per-gate Glorot draws, made in
+        # the order W_z, W_r, W_c, U_z, U_r, U_c.
+        cell = gru_init(np.random.default_rng(16), 6, 5)
+        rng = np.random.default_rng(16)
+        per_gate = [nn.glorot_uniform(rng, 5, 6) for _ in range(3)]
+        per_gate += [nn.glorot_uniform(rng, 5, 5) for _ in range(3)]
+        assert np.array_equal(cell.W.data, np.concatenate(per_gate[:3]))
+        assert np.array_equal(cell.U.data, np.concatenate(per_gate[3:]))
+        assert np.array_equal(cell.b.data, np.zeros(15))
 
 
 class TestCrossEntropy:

@@ -130,6 +130,16 @@ def test_linear_weight_grad_in_weight_layout():
     assert np.allclose(W.grad, np.ones((6, 2)).T @ x.data)
 
 
+def test_gru_scan_shape_error_names_op_and_shapes():
+    U, h0 = Tensor(np.zeros((9, 3))), Tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match=r"gru_scan.*\(2, 4, 8\).*\(9, 3\).*\(2, 3\)"):
+        T.gru_scan(Tensor(np.zeros((2, 4, 8))), U, h0)
+    with pytest.raises(ShapeError, match=r"gru_scan.*\(2, 4, 9\).*\(9, 3\).*\(5, 3\)"):
+        T.gru_scan(Tensor(np.zeros((2, 4, 9))), U, Tensor(np.zeros((5, 3))))
+    with pytest.raises(ShapeError, match=r"gru_scan.*\(2, 0, 9\)"):
+        T.gru_scan(Tensor(np.zeros((2, 0, 9))), U, h0)
+
+
 def test_sigmoid_extreme_inputs_finite_in_unit_interval():
     out = T.sigmoid(Tensor([[-800.0, 800.0], [-40.0, 40.0]])).data
     assert np.all(np.isfinite(out))
@@ -252,6 +262,9 @@ def _binary_cases(rng):
         "linear_2_bias": (T.linear, t((3, 4)), t((2, 4)), t((2,))),
         "linear_3": (T.linear, t((2, 3, 4)), t((2, 4))),
         "linear_3_bias": (T.linear, t((2, 3, 4)), t((2, 4)), t((2,))),
+        # (xp, U, h0), all three requiring a gradient; H = 3.
+        "gru_scan_1": (T.gru_scan, t((2, 1, 9)), t((9, 3)), t((2, 3))),
+        "gru_scan_5": (T.gru_scan, t((2, 5, 9)), t((9, 3)), t((2, 3))),
     }
 
 

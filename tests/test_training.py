@@ -256,7 +256,7 @@ class TestCheckpoint:
         good = path.read_bytes()
 
         class TornWrite:
-            """File whose fourth write (the payload) stops halfway with an error."""
+            """File whose fourth write (the first payload block) stops halfway with an error."""
 
             def __init__(self, f):
                 self.f, self.writes = f, 0
@@ -280,6 +280,55 @@ class TestCheckpoint:
             training.save_checkpoint(path, config, dims, result)
         assert path.read_bytes() == good
         assert sorted(p.name for p in out.iterdir() if "checkpoint" in p.name) == ["checkpoint.bin"]
+
+    def test_file_is_header_then_one_block_per_array(self, tiny_dataset_path, tmp_path):
+        # The layout, rebuilt here from the trained streams: magic, u64 header
+        # length, JSON header; then per stream every parameter in name order,
+        # then Adam's m and v for each, each block u32 rank, u32 extents, f64 values.
+        out = tmp_path / "ck"
+        config = tiny_config(tiny_dataset_path, variant="two_stream", max_epochs=1, out_dir=str(out))
+        result = run_train(config)
+        blob = (out / "checkpoint.bin").read_bytes()
+        n = int.from_bytes(blob[8:16], "little")
+        meta = json.loads(blob[16 : 16 + n])
+        assert blob[:8] == training.CHECKPOINT_MAGIC and meta["version"] == 2
+        expected = bytearray(blob[: 16 + n])
+        for name, smeta in meta["streams"].items():
+            trained = result.streams[name]
+            params = trained.stream.parameters()
+            assert smeta["params"] == sorted(params)
+            arrays = [params[k].data for k in smeta["params"]]
+            arrays += [a for k in smeta["params"] for a in (trained.adam.m[k], trained.adam.v[k])]
+            for a in arrays:
+                expected += np.asarray([a.ndim, *a.shape], "<u4").tobytes() + a.astype("<f8").tobytes()
+        assert blob == bytes(expected)
+
+    def test_truncated_checkpoint_names_file_and_parameter(self, tiny_dataset_path, tmp_path):
+        out = tmp_path / "ck"
+        run_train(tiny_config(tiny_dataset_path, max_epochs=1, out_dir=str(out)))
+        blob = (out / "checkpoint.bin").read_bytes()
+        header_end = 16 + int.from_bytes(blob[8:16], "little")
+        cut = tmp_path / "cut.bin"
+        for size, field in (
+            (header_end + 10, r"attn\.l0\.W"),  # first parameter, in name order
+            (len(blob) - 1, r"head\.b \(adam v\)"),  # last block
+            (header_end - 5, "header"),
+        ):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(DatasetError, match=rf"cut\.bin.*{field}"):
+                load_checkpoint(cut)
+
+    def test_version_1_checkpoint_rejected_as_unstacked(self, tiny_dataset_path, tmp_path):
+        out = tmp_path / "ck"
+        run_train(tiny_config(tiny_dataset_path, max_epochs=1, out_dir=str(out)))
+        blob = (out / "checkpoint.bin").read_bytes()
+        header_end = 16 + int.from_bytes(blob[8:16], "little")
+        meta = json.loads(blob[16:header_end])
+        header = json.dumps({**meta, "version": 1}, sort_keys=True).encode()
+        old = tmp_path / "v1.bin"
+        old.write_bytes(blob[:8] + len(header).to_bytes(8, "little") + header + blob[header_end:])
+        with pytest.raises(DatasetError, match=r"v1\.bin.*version 1.*stacked.*retrain"):
+            load_checkpoint(old)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

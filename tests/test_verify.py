@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 import poseattn.tensor
@@ -29,23 +28,21 @@ def test_errors_are_far_below_tolerance(report):
 
 
 def test_corrupted_adjoint_reported_with_parameter_name(monkeypatch):
-    real_tanh = poseattn.tensor.tanh
+    real_make = poseattn.tensor._make
 
-    def corrupted_tanh(a):
-        out = np.tanh(a.data)
+    def corrupting_make(out_data, op, parents, vjps):
+        if op == "gru_scan":  # every GRU parameter's gradient flows through this VJP
+            vjps = tuple(lambda g, f=f: 1.01 * f(g) for f in vjps)  # deliberately wrong by 1%
+        return real_make(out_data, op, parents, vjps)
 
-        def vjp(g):
-            return g * (1.0 - out * out) * 1.01  # deliberately wrong by 1%
-
-        return poseattn.tensor._make(out, "tanh", (a,), (vjp,))
-
-    monkeypatch.setattr(poseattn.tensor, "tanh", corrupted_tanh)
+    monkeypatch.setattr(poseattn.tensor, "_make", corrupting_make)
     cell = check_pose_cell(TinyDims())
     assert not cell.passed
     assert cell.failures
     names = {name for name, _ in cell.failures}
-    assert any("W_c" in n or "U_c" in n or "b_c" in n for n in names)
-    monkeypatch.setattr(poseattn.tensor, "tanh", real_tanh)
+    # Only GRU parameters fail, by their stacked names: the head's gradient bypasses the scan.
+    assert all(n.startswith("stack.layer") and n.rsplit(".", 1)[-1] in ("W", "U", "b") for n in names)
+    monkeypatch.setattr(poseattn.tensor, "_make", real_make)
 
 
 def test_report_formatting(report):
