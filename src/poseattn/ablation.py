@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .data import Dataset, load_dataset
 from .training import (
+    ConfigError,
     RunConfig,
     TrainResult,
     dump_attention,
@@ -46,7 +47,7 @@ def cell_config(base: RunConfig, row: str, seed: int, out_dir: str | Path | None
     """Cells differ from the base config only in conditioning, pooling and seed."""
     spec = {name: (cond, ta) for name, cond, ta in GRID_ROWS}
     if row not in spec:
-        raise ValueError(f"unknown grid row {row!r}")
+        raise ConfigError(f"unknown grid row {row!r}; rows are {', '.join(spec)}")
     cond, ta = spec[row]
     return replace(
         base,
@@ -76,20 +77,13 @@ def _run_cell(payload: dict, dataset: Dataset | None = None) -> dict:
 
     Pool workers pass no ``dataset`` and load their own copy.
     """
-    base = RunConfig.from_json(payload["base"])
-    config = cell_config(base, payload["row"], payload["seed"], payload["out_dir"])
+    cell = {"row": payload["row"], "seed": payload["seed"]}
     try:
-        result = run_train(config, dataset=dataset)
-        return {
-            "row": payload["row"],
-            "seed": payload["seed"],
-            "status": "ok",
-            "acc": result.test_acc,
-        }
+        result = run_train(RunConfig.from_json(payload["config"]), dataset=dataset)
+        return {**cell, "status": "ok", "acc": result.test_acc}
     except Exception as e:  # a failed cell must not sink the grid
         return {
-            "row": payload["row"],
-            "seed": payload["seed"],
+            **cell,
             "status": f"failed: {type(e).__name__}: {e}",
             "acc": {},
             "trace": traceback.format_exc(),
@@ -106,19 +100,19 @@ def run_ablation(
     attention_dumps: bool = True,
 ) -> list[CellResult]:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = load_dataset(base.dataset)
     row_names = rows if rows is not None else [name for name, _, _ in GRID_ROWS]
+    # Every cell's config is checked before any cell trains.
     payloads = [
         {
-            "base": base.to_json(),
             "row": row,
             "seed": seed,
-            "out_dir": str(out_dir / f"{row}-seed{seed}"),
+            "config": cell_config(base, row, seed, out_dir / f"{row}-seed{seed}").to_json(),
         }
         for row in row_names
         for seed in seeds
     ]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    dataset = load_dataset(base.dataset)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_run_cell, payloads))

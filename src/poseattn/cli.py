@@ -20,6 +20,7 @@ from .data import DatasetError, export_manifest_json, load_dataset, save_dataset
 from .synth import SyntheticSpec, generate
 from .tensor import GraphError, NumericError, ShapeError
 from .training import (
+    CONFIG_CHOICES,
     ConfigError,
     RunConfig,
     dump_attention,
@@ -55,12 +56,11 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags below override it")
     p.add_argument("--dataset", help="dataset file")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--variant", choices=["rgb", "pose", "two_stream"])
-    p.add_argument("--conditioning", choices=["hidden", "pose", "both", "sum", "concat"])
+    for name, choices in CONFIG_CHOICES.items():
+        p.add_argument(f"--{name}", choices=choices)
     ta = p.add_mutually_exclusive_group()
     ta.add_argument("--temporal", dest="use_temporal", action="store_true", default=None)
     ta.add_argument("--no-temporal", dest="use_temporal", action="store_false", default=None)
-    p.add_argument("--pooling", choices=["average", "last"])
     p.add_argument("--clip-len", type=int)
     p.add_argument("--feat-dim", type=int)
     p.add_argument("--rgb-hidden", type=int)
@@ -143,18 +143,23 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _load_for_eval(args: argparse.Namespace):
+    """The checkpoint's config and streams, the prepared dataset and the split's ids."""
     config, dims, streams = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.dataset)
     if dataset.manifest.feature_dim != dims.feat_dim:
         raise DatasetError(
             f"checkpoint feature dim {dims.feat_dim} != dataset {dataset.manifest.feature_dim}"
         )
-    prepared = prepare_sequences(dataset)
     ids = dataset.manifest.split_ids(args.split)
     if not ids:
         raise DatasetError(f"split {args.split!r} is empty")
     models = [s["stream"] for s in streams.values()]
+    return config, models, prepare_sequences(dataset), ids
+
+
+def _cmd_eval(args: argparse.Namespace) -> int:
+    config, models, prepared, ids = _load_for_eval(args)
     acc = evaluate(models, prepared, ids, config.clip_len)
     print(f"accuracy [{args.split}]: {acc:.4f}")
     return EXIT_OK
@@ -193,15 +198,9 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_attention(args: argparse.Namespace) -> int:
-    config, dims, streams = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.dataset)
-    prepared = prepare_sequences(dataset)
-    ids = dataset.manifest.split_ids(args.split)
-    if not ids:
-        raise DatasetError(f"split {args.split!r} is empty")
+    config, models, prepared, ids = _load_for_eval(args)
     if args.limit:
         ids = ids[: args.limit]
-    models = [s["stream"] for s in streams.values()]
     out = _out_path(args.out)
     dump_attention(models, prepared, ids, config.clip_len, out_path=out)
     print(f"wrote {len(ids)} records to {out}")

@@ -1,11 +1,11 @@
 """Two-stream sequence classifier with pose-conditioned attention.
 
-The RGB stream runs, per frame: stored glimpse features of up to 4 hand slots,
-spatial attention over the slots (conditioned on the recurrent hidden
-state, the augmented pose, or both; sum/concat integration as baselines),
-a GRU over the resulting context vectors, and either motion-conditioned
-temporal attention pooling of the hidden states or per-step classification.
-The pose stream is a stacked GRU over raw pose vectors with per-step
+The RGB stream mixes stored glimpse features of up to 4 hand slots by
+spatial attention (conditioned on the recurrent hidden state, the augmented
+pose, or both; sum/concat integration as baselines), runs a GRU over the
+resulting context vectors, and either pools the hidden states by
+motion-conditioned temporal attention or classifies every step.  The pose
+stream is a stacked GRU over raw pose vectors with per-step
 classification.  Streams fuse by summing logits.
 """
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .nn import (
     Mlp,
     cross_entropy,
     dropout,
-    gru_cell_step,
     gru_init,
     gru_stack_init,
     linear_init,
@@ -83,36 +82,34 @@ def spatial_attention_weights(
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Softmax weights over the 4 hand slots for one frame."""
+    """Softmax weights over the 4 hand slots, for a frame (B, .) or a span of frames (B, t, .)."""
     if cond not in ATTENTION_CONDITIONINGS:
         raise ValueError(f"conditioning {cond!r} does not use an attention network")
     parts = [pose_aug_t] if cond in POSE_CONDITIONINGS else []
     if cond in HIDDEN_CONDITIONINGS:
         parts.append(h_prev)
-    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
+    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
     logits = attn(x, dropout_rate=dropout_rate, rng=rng, training=training)
     if mask_t is not None:
         logits = T.add(logits, Tensor((1.0 - mask_t) * _MASK_BIAS))
     return T.softmax(logits)
 
 
-def context_vector(v_t: Tensor, p_t: Tensor) -> Tensor:
-    """Attention-weighted combination of hand features: rows of V_t mixed by p_t."""
-    b, slots, d = v_t.shape
-    if p_t.shape != (b, slots):
-        raise ShapeError(f"attention shape {p_t.shape} does not match features {v_t.shape}")
-    mixed = T.matmul(T.reshape(p_t, (b, 1, slots)), v_t)
-    return T.reshape(mixed, (b, d))
+def context_vector(v: Tensor, p: Tensor) -> Tensor:
+    """Rows of v (..., n, d) mixed by weights p (..., n): hand slots by spatial
+    attention, or time steps by temporal attention."""
+    *lead, n, d = v.shape
+    if p.shape != (*lead, n):
+        raise ShapeError(f"attention shape {p.shape} does not match features {v.shape}")
+    rows = int(np.prod(lead))
+    if v.ndim != 3:
+        v = T.reshape(v, (rows, n, d))
+    mixed = T.matmul(T.reshape(p, (rows, 1, n)), v)
+    return T.reshape(mixed, (*lead, d))
 
 
-def integrate_baseline(v_t: Tensor, mode: str) -> Tensor:
-    """Sum or concat integration of the 4 hand slots (no attention)."""
-    b, slots, d = v_t.shape
-    if mode == "sum":
-        return T.sum_axis(v_t, axis=1)
-    if mode == "concat":
-        return T.reshape(v_t, (b, slots * d))
-    raise ValueError(f"unknown integration {mode!r}")
+def _join_steps(parts: list[Tensor]) -> Tensor:
+    return parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
 
 
 class RgbStream:
@@ -198,67 +195,62 @@ class RgbStream:
             raise ShapeError(
                 f"feature dim {batch.features.shape[-1]} != stream dim {self.feat_dim}"
             )
-        b = batch.batch_size
+        b, n_frames = batch.batch_size, batch.n_frames
 
-        # Unless attention reads h, every step's GRU input is known before the
-        # recurrence starts, and the GRU runs once over the whole sequence.
-        feeds_back = self.conditioning in HIDDEN_CONDITIONINGS
-        h = Tensor(np.zeros((b, self.hidden_dim)))
-        steps: list[Tensor] = []  # GRU states if feeds_back, else GRU inputs
+        # Unless attention reads h, nothing before the GRU depends on time: the
+        # front end runs once over the whole window and the GRU scans it once.
+        # Otherwise each frame is a span of its own, fed the last span's state.
+        per_frame = self.conditioning in HIDDEN_CONDITIONINGS
+        spans = [(t, t + 1) for t in range(n_frames)] if per_frame else [(0, n_frames)]
+        h = Tensor(np.zeros((b, 1, self.hidden_dim)))
+        states: list[Tensor] = []
         attentions: list[Tensor] = []
-        for t in range(batch.n_frames):
-            # Stored glimpse features stand in for a frozen backbone; absent hands read zero.
-            v_t = Tensor(batch.features[:, t] * batch.hand_mask[:, t, :, None])
-            if self.conditioning in ATTENTION_CONDITIONINGS:
-                p_t = spatial_attention_weights(
-                    self.attn,
-                    self.conditioning,
-                    Tensor(batch.pose_aug[:, t]),
-                    h,
-                    mask_t=batch.hand_mask[:, t] if self.mask_absent else None,
-                    dropout_rate=self.dropout_rate,
-                    rng=rng,
-                    training=training,
-                )
-                attentions.append(p_t)
-                ctx = context_vector(v_t, p_t)
+        for start, stop in spans:
+            # Stored glimpse features stand in for a frozen backbone.
+            feats = batch.features[:, start:stop]  # (B, t, 4, D)
+            mask = batch.hand_mask[:, start:stop]  # (B, t, 4)
+            if self.conditioning == "concat":
+                ctx = Tensor((feats * mask[..., None]).reshape(b, stop - start, -1))
             else:
-                ctx = integrate_baseline(v_t, self.conditioning)
+                # Absent hands weigh zero, so they contribute nothing to the context.
+                weights = Tensor(mask)
+                if self.attn is not None:
+                    p = spatial_attention_weights(
+                        self.attn,
+                        self.conditioning,
+                        Tensor(batch.pose_aug[:, start:stop]),
+                        h,
+                        mask_t=mask if self.mask_absent else None,
+                        dropout_rate=self.dropout_rate,
+                        rng=rng,
+                        training=training,
+                    )
+                    attentions.append(p)
+                    weights = T.multiply(p, weights)
+                ctx = context_vector(Tensor(feats), weights)
             ctx = dropout(ctx, self.dropout_rate, rng, training)
-            if feeds_back:
-                h = gru_cell_step(self.gru, h, ctx)
-            steps.append(h if feeds_back else ctx)
+            # Only one-frame spans follow another, so the last state is h itself.
+            h0 = T.reshape(h, (b, self.hidden_dim)) if states else None
+            h = self.gru.run(ctx, h0)  # (B, t, H)
+            states.append(h)
 
-        stacked = T.stack(steps, axis=1)
-        hidden_states = stacked if feeds_back else self.gru.run(stacked)  # (B, T, H)
-        spatial = T.stack(attentions, axis=1) if attentions else None
+        hidden_states = _join_steps(states)  # (B, T, H)
+        spatial = _join_steps(attentions) if attentions else None
 
+        per_step = p_prime = None
         if self.use_temporal:
-            motion_flat = Tensor(batch.motion.reshape(b, -1))
-            p_prime = T.softmax(
-                self.temporal(
-                    motion_flat, dropout_rate=self.dropout_rate, rng=rng, training=training
-                )
-            )
-            pooled = T.reshape(
-                T.matmul(T.reshape(p_prime, (b, 1, batch.n_frames)), hidden_states),
-                (b, self.hidden_dim),
-            )
-            logits = self.head(pooled)
-            return StreamOutput(
-                logits=logits,
-                hidden_states=hidden_states,
-                spatial_attention=spatial,
-                temporal_attention=p_prime,
-            )
-
-        per_step = self.head(hidden_states)  # (B, T, C)
-        logits = self._pool_steps(per_step, batch.n_frames)
+            motion = Tensor(batch.motion.reshape(b, -1))
+            p_prime = T.softmax(self.temporal(motion, self.dropout_rate, rng, training))
+            logits = self.head(context_vector(hidden_states, p_prime))
+        else:
+            per_step = self.head(hidden_states)  # (B, T, C)
+            logits = self._pool_steps(per_step, n_frames)
         return StreamOutput(
             logits=logits,
             hidden_states=hidden_states,
             per_step_logits=per_step,
             spatial_attention=spatial,
+            temporal_attention=p_prime,
         )
 
     def _pool_steps(self, per_step: Tensor, n_frames: int) -> Tensor:

@@ -33,15 +33,17 @@ from .tensor import NumericError, Tape
 
 CONFIG_VERSION = 1
 
-_CONFIG_CHOICES = {
+CONFIG_CHOICES = {
     "variant": ("rgb", "pose", "two_stream"),
     "conditioning": CONDITIONINGS,
     "pooling": ("average", "last"),
 }
-_CONFIG_AT_LEAST_ONE = (
+_CONFIG_FLAGS = ("use_temporal", "mask_absent", "stack_dropout")
+# Integer fields and their least value.
+_CONFIG_MINIMUM = dict.fromkeys((
     "clip_len", "feat_dim", "rgb_hidden", "pose_hidden", "pose_layers",
     "attn_hidden", "temporal_hidden", "batch_size", "max_epochs", "patience",
-)
+), 1) | {"seed": 0}
 # lo <= value < hi.  lr = 0 is a valid frozen-parameter run; a negative rate would ascend.
 _CONFIG_RANGES = {"dropout": (0.0, 1.0), "lr": (0.0, float("inf"))}
 
@@ -78,16 +80,20 @@ class RunConfig:
     config_version: int = CONFIG_VERSION
 
     def __post_init__(self) -> None:
-        for name, choices in _CONFIG_CHOICES.items():
+        for name, choices in CONFIG_CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ConfigError(f"config {name}: {getattr(self, name)!r} is not one of {choices}")
-        for name in _CONFIG_AT_LEAST_ONE:
+        for name in _CONFIG_FLAGS:
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"config {name}: must be true or false, got {getattr(self, name)!r}")
+        # bool is an int subclass, but True is no batch size, seed or rate.
+        for name, least in _CONFIG_MINIMUM.items():
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"config {name}: must be an integer >= 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"config {name}: must be an integer >= {least}, got {value!r}")
         for name, (lo, hi) in _CONFIG_RANGES.items():
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not lo <= value < hi:
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not lo <= value < hi:
                 raise ConfigError(f"config {name}: must be a number in [{lo}, {hi}), got {value!r}")
 
     def to_json(self) -> dict:

@@ -88,6 +88,36 @@ def test_ablate_subset(dataset_path, tmp_path, capsys):
     assert (tmp_path / "grid" / "grid.csv").exists()
 
 
+@pytest.mark.parametrize("rows, seed", [("sum,bogus", "0"), ("sum", "-1")])
+def test_bad_grid_cell_fails_before_any_cell_trains(dataset_path, tmp_path, capsys, rows, seed):
+    grid = tmp_path / "grid"
+    code = main([
+        "ablate", "--dataset", str(dataset_path), "--out", str(grid), "--rows", rows,
+        "--seeds", seed, "--no-dumps", "--feat-dim", "16", "--rgb-hidden", "8",
+        "--max-epochs", "1", "--dropout", "0", "--batch-size", "16",
+    ])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not grid.exists()
+
+
+def test_checkpoint_against_other_feature_dim_is_data_error(dataset_path, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--dataset", str(dataset_path), "--out", str(run_dir)] + TRAIN_FLAGS) == 0
+    other = tmp_path / "other.bin"
+    assert main([
+        "synth", "--kind", "active_hand", "--out", str(other), "--feat-dim", "24",
+        "--counts", "8", "4", "4", "--seed", "1",
+    ]) == 0
+    capsys.readouterr()
+    ckpt = ["--checkpoint", str(run_dir / "checkpoint.bin"), "--dataset", str(other)]
+    assert main(["eval"] + ckpt) == 2
+    assert "feature dim" in capsys.readouterr().err
+    assert main(["dump-attention"] + ckpt + ["--out", str(tmp_path / "attn.jsonl")]) == 2
+    assert "feature dim" in capsys.readouterr().err
+    assert not (tmp_path / "attn.jsonl").exists()
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
@@ -100,7 +130,7 @@ def test_usage_error_exit_code_1():
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--batch-size", "0"), ("--dropout", "1.0"), ("--lr", "-1")]
+    "flag, value", [("--batch-size", "0"), ("--dropout", "1.0"), ("--lr", "-1"), ("--seed", "-1")]
 )
 def test_out_of_range_config_is_usage_error(dataset_path, tmp_path, capsys, flag, value):
     argv = ["train", "--dataset", str(dataset_path), "--out", str(tmp_path / "run")]

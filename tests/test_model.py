@@ -4,12 +4,13 @@ import pytest
 from poseattn import tensor as T
 from poseattn.model import (
     CONDITIONINGS,
+    HIDDEN_CONDITIONINGS,
+    POSE_CONDITIONINGS,
     PoseStream,
     RgbStream,
     WindowBatch,
     context_vector,
     fuse_logits,
-    integrate_baseline,
     spatial_attention_weights,
 )
 from poseattn.nn import mlp_init
@@ -92,15 +93,6 @@ class TestContextVector:
         out = context_vector(v, p)
         assert np.allclose(out.data[0], v.data[0].mean(axis=0))
 
-    def test_sum_and_concat_baselines(self):
-        rng = np.random.default_rng(6)
-        v = Tensor(rng.normal(size=(2, 4, 6)))
-        s = integrate_baseline(v, "sum")
-        assert np.allclose(s.data, v.data.sum(axis=1))
-        c = integrate_baseline(v, "concat")
-        assert c.shape == (2, 24)
-        assert np.array_equal(c.data[0, :6], v.data[0, 0])
-
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
             context_vector(Tensor(np.zeros((1, 4, 6))), Tensor(np.zeros((1, 3))))
@@ -153,14 +145,60 @@ class TestRgbStream:
         assert np.allclose(logits["pose"], logits["both"], atol=1e-10)
 
     def test_absent_hands_contribute_zero(self):
-        rng = np.random.default_rng(13)
-        stream = make_stream(rng, cond="pose")
-        batch = make_batch(np.random.default_rng(14))
-        batch.hand_mask[:, :, 2:] = 0.0
-        batch.features[:, :, 2:] = 0.0
-        zeroed = stream.forward(batch).logits.data
-        batch.features[:, :, 2:] = np.random.default_rng(15).normal(size=(2, 4, 2, 6))
-        assert np.array_equal(stream.forward(batch).logits.data, zeroed)
+        for cond in CONDITIONINGS:
+            stream = make_stream(np.random.default_rng(13), cond=cond, ta=True)
+            batch = make_batch(np.random.default_rng(14))
+            batch.hand_mask[:, :, 2:] = 0.0
+            batch.features[:, :, 2:] = 0.0
+            zeroed = stream.forward(batch).logits.data
+            batch.features[:, :, 2:] = np.random.default_rng(15).normal(size=(2, 4, 2, 6))
+            assert np.array_equal(stream.forward(batch).logits.data, zeroed), cond
+
+    def test_sum_and_concat_gru_inputs(self, monkeypatch):
+        # sum adds the present slots; concat lays them out slot-major, absent ones as zeros.
+        batch = make_batch(np.random.default_rng(6))
+        batch.hand_mask[0, :, 1] = 0.0
+        present = batch.features * batch.hand_mask[..., None]  # (B, T, 4, D)
+        for cond, expected in (("sum", present.sum(axis=2)), ("concat", present.reshape(2, 4, 24))):
+            stream = make_stream(np.random.default_rng(6), cond=cond)
+            inputs = []
+            run = stream.gru.run
+
+            def recording_run(xs, h0=None):
+                inputs.append(xs.data)
+                return run(xs, h0)
+
+            monkeypatch.setattr(stream.gru, "run", recording_run)
+            stream.forward(batch)
+            assert len(inputs) == 1
+            np.testing.assert_allclose(inputs[0], expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("cond", CONDITIONINGS)
+    @pytest.mark.parametrize("ta", [False, True])
+    @pytest.mark.parametrize("mask_absent", [False, True])
+    def test_matches_a_per_frame_reference(self, cond, ta, mask_absent):
+        stream = make_stream(np.random.default_rng(60), cond=cond, ta=ta, mask_absent=mask_absent)
+        for mlp in (stream.attn, stream.temporal):  # off the uniform init
+            for layer in mlp.layers if mlp is not None else []:
+                layer.W.data = np.random.default_rng(61).normal(size=layer.W.data.shape)
+        batch = make_batch(np.random.default_rng(62), b=3)
+        batch.hand_mask[0, :, 1] = 0.0
+        batch.hand_mask[1, 2:] = 0.0  # every hand absent
+        batch.hand_mask[2, ::2, 3] = 0.0
+        out = stream.forward(batch)
+        want = _reference_logits(stream, batch)
+        np.testing.assert_allclose(out.logits.data, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ta", [False, True])
+    def test_pose_conditioned_tape_size_does_not_grow_with_the_window(self, ta):
+        nodes = []
+        for t in (4, 8):
+            stream = make_stream(np.random.default_rng(63), cond="pose", ta=ta, n_frames=t, dropout_rate=0.5)
+            batch = make_batch(np.random.default_rng(64), t=t)
+            with T.Tape() as tape:
+                stream.loss(stream.forward(batch, training=True, rng=np.random.default_rng(65)), batch.labels)
+            nodes.append(tape.node_count)
+        assert nodes[0] == nodes[1]
 
     def test_pose_conditioned_attention_ignores_features(self):
         rng = np.random.default_rng(15)
@@ -249,6 +287,52 @@ class TestRgbStream:
         assert np.allclose(out.logits.data, out.per_step_logits.data.mean(axis=1))
 
 
+def _softmax(z):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _mlp(mlp, x):
+    for layer in mlp.layers[:-1]:
+        x = np.maximum(x @ layer.W.data.T + layer.b.data, 0.0)
+    return x @ mlp.layers[-1].W.data.T + mlp.layers[-1].b.data
+
+
+def _reference_logits(stream, batch):
+    """The RGB stream written out frame by frame in numpy, at dropout 0."""
+    b, n = batch.batch_size, batch.n_frames
+    cond, H = stream.conditioning, stream.hidden_dim
+    W, U, bias = stream.gru.W.data, stream.gru.U.data, stream.gru.b.data
+    h = np.zeros((b, H))
+    states = []
+    for t in range(n):
+        v = batch.features[:, t] * batch.hand_mask[:, t, :, None]  # (B, 4, D)
+        if cond == "sum":
+            x = v.sum(axis=1)
+        elif cond == "concat":
+            x = v.reshape(b, -1)
+        else:
+            parts = [batch.pose_aug[:, t]] if cond in POSE_CONDITIONINGS else []
+            parts += [h] if cond in HIDDEN_CONDITIONINGS else []
+            logits = _mlp(stream.attn, np.concatenate(parts, axis=1))
+            if stream.mask_absent:
+                logits = logits + (1.0 - batch.hand_mask[:, t]) * -1e9
+            x = np.einsum("bk,bkd->bd", _softmax(logits), v)
+        xz, xr, xc = np.split(x @ W.T + bias, 3, axis=1)
+        Uz, Ur, Uc = np.split(U, 3, axis=0)
+        z = 1.0 / (1.0 + np.exp(-(xz + h @ Uz.T)))
+        r = 1.0 / (1.0 + np.exp(-(xr + h @ Ur.T)))
+        c = np.tanh(xc + (r * h) @ Uc.T)
+        h = (1.0 - z) * h + z * c
+        states.append(h)
+    hs = np.stack(states, axis=1)  # (B, T, H)
+    head = stream.head
+    if stream.use_temporal:
+        p = _softmax(_mlp(stream.temporal, batch.motion.reshape(b, -1)))
+        return np.einsum("bt,bth->bh", p, hs) @ head.W.data.T + head.b.data
+    return (hs @ head.W.data.T + head.b.data).mean(axis=1)
+
+
 class TestTemporalPooling:
     def test_uniform_at_initialization(self):
         stream = make_stream(np.random.default_rng(31), cond="pose", ta=True)
@@ -261,7 +345,7 @@ class TestTemporalPooling:
         k = 2
         p = np.zeros((2, 4))
         p[:, k] = 1.0
-        pooled = T.reshape(T.matmul(T.reshape(Tensor(p), (2, 1, 4)), h), (2, 5))
+        pooled = context_vector(h, Tensor(p))
         assert np.array_equal(pooled.data, h.data[:, k, :])
 
     def test_simplex_property(self):

@@ -359,6 +359,8 @@ class TestConfig:
             ("dropout", 1.0), ("dropout", -0.1), ("dropout", "0.5"),
             ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
             ("variant", "both"), ("conditioning", "hands"), ("pooling", "max"),
+            ("use_temporal", "false"), ("mask_absent", 1), ("stack_dropout", "no"),
+            ("batch_size", True), ("lr", True), ("dropout", False), ("seed", -1), ("seed", 2.0),
         ],
     )
     def test_out_of_range_field_rejected_by_name(self, field, value):
