@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .data import Dataset, load_dataset
+from .data import Dataset, load_dataset, replacing
 from .training import (
     ConfigError,
     RunConfig,
@@ -185,18 +185,18 @@ def _write_grid(out_dir: Path, results: list[CellResult], rows: list[str], seeds
         a = cell.acc.get("test_seeds", float("nan"))
         b = cell.acc.get("test_pool", float("nan"))
         lines.append(f"{cell.row},{cell.seed},{cell.status},{a!r},{b!r},{cell.avg!r}")
-    (out_dir / "grid.csv").write_text("\n".join(lines) + "\n")
-    (out_dir / "grid.txt").write_text(format_table(results, rows) + "\n")
-    (out_dir / "grid.json").write_text(
-        json.dumps(
-            [
-                {"row": c.row, "seed": c.seed, "status": c.status, "acc": c.acc}
-                | ({"trace": c.trace} if c.status != "ok" else {})
-                for c in results
-            ],
-            indent=2,
-        )
-    )
+    cells = [
+        {"row": c.row, "seed": c.seed, "status": c.status, "acc": c.acc}
+        | ({"trace": c.trace} if c.status != "ok" else {})
+        for c in results
+    ]
+    for name, text in (
+        ("grid.csv", "\n".join(lines) + "\n"),
+        ("grid.txt", format_table(results, rows) + "\n"),
+        ("grid.json", json.dumps(cells, indent=2)),
+    ):
+        with replacing(out_dir / name) as f:
+            f.write(text)
 
 
 def mean_accuracies(results: list[CellResult]) -> dict[str, dict[str, float]]:

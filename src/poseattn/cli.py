@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .ablation import GRID_ROWS, format_table, run_ablation
-from .data import DatasetError, export_manifest_json, load_dataset, save_dataset
+from .data import DatasetError, dataset_content_hash, export_manifest_json, load_dataset, save_dataset
 from .synth import SyntheticSpec, generate
 from .tensor import GraphError, NumericError, ShapeError
 from .training import (
@@ -74,6 +74,16 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-epochs", type=int)
     p.add_argument("--patience", type=int)
     p.add_argument("--seed", type=int)
+
+
+def _add_checkpoint_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--split", default="test_seeds")
+    p.add_argument(
+        "--allow-other-dataset", action="store_true",
+        help="use a dataset other than the one the checkpoint was trained on",
+    )
 
 
 _CONFIG_KEYS = (
@@ -150,6 +160,13 @@ def _load_for_eval(args: argparse.Namespace):
     if dataset.manifest.feature_dim != dims.feat_dim:
         raise DatasetError(
             f"checkpoint feature dim {dims.feat_dim} != dataset {dataset.manifest.feature_dim}"
+        )
+    trained_on = next(iter(streams.values()))["dataset_hash"]
+    given = dataset_content_hash(args.dataset)
+    if trained_on != given and not args.allow_other_dataset:
+        raise DatasetError(
+            f"checkpoint {args.checkpoint} was trained on dataset hash {trained_on or '(none recorded)'}, "
+            f"but dataset {args.dataset} hashes to {given}; pass --allow-other-dataset to use it anyway"
         )
     ids = dataset.manifest.split_ids(args.split)
     if not ids:
@@ -238,9 +255,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--split", default="test_seeds")
+    _add_checkpoint_flags(p)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("ablate", help="run the conditioning ablation grid")
@@ -259,9 +274,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_gradcheck)
 
     p = sub.add_parser("dump-attention", help="write per-sequence attention records")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--split", default="test_seeds")
+    _add_checkpoint_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--limit", type=int, default=0)
     p.set_defaults(fn=_cmd_dump_attention)

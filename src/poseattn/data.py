@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -222,8 +225,23 @@ def _decode_record(manifest: DatasetManifest, record: SequenceRecord, blob: byte
     return SequenceData(seq=seq, features=features, gt_slot=gt_slot, gt_window=gt_window)
 
 
-def save_dataset(path: str | Path, dataset: Dataset) -> None:
+@contextmanager
+def replacing(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """A file to write in place of ``path``: a sibling temp file, renamed over
+    ``path`` when the block ends.  If the block raises, the temp file is
+    removed and ``path`` keeps its previous contents."""
     path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_dataset(path: str | Path, dataset: Dataset) -> None:
     manifest = dataset.manifest
     blobs: list[bytes] = []
     offset = 0
@@ -235,7 +253,7 @@ def save_dataset(path: str | Path, dataset: Dataset) -> None:
         offset += len(blob)
         blobs.append(blob)
     header = json.dumps(manifest.to_json(), sort_keys=True).encode()
-    with open(path, "wb") as f:
+    with replacing(path, "wb") as f:
         f.write(MAGIC)
         f.write(len(header).to_bytes(8, "little"))
         f.write(header)
@@ -285,7 +303,8 @@ def load_dataset(path: str | Path) -> Dataset:
 
 def export_manifest_json(path: str | Path, out_path: str | Path) -> None:
     manifest, _ = load_manifest(path)
-    Path(out_path).write_text(json.dumps(manifest.to_json(), indent=2, sort_keys=True))
+    with replacing(out_path) as f:
+        f.write(json.dumps(manifest.to_json(), indent=2, sort_keys=True))
 
 
 def dataset_content_hash(path: str | Path) -> str:

@@ -43,22 +43,28 @@ _MASK_BIAS = -1e9
 
 @dataclass
 class WindowBatch:
-    """One minibatch of fixed-length windows, already indexed out of sequences."""
+    """One minibatch of fixed-length windows over a table of distinct frames.
 
-    pose_raw: np.ndarray  # (B, T, P)
-    pose_aug: np.ndarray  # (B, T, 3P)
-    motion: np.ndarray  # (B, T, 2)
-    hand_mask: np.ndarray  # (B, T, 4) float 0/1
+    The per-frame arrays hold one row per distinct (sequence, frame); window
+    b shows row ``frames[b, t]`` at position t.  Windows that overlap share
+    rows.
+    """
+
+    pose_raw: np.ndarray  # (F, P)
+    pose_aug: np.ndarray  # (F, 3P)
+    motion: np.ndarray  # (F, 2)
+    hand_mask: np.ndarray  # (F, 4) float 0/1
+    frames: np.ndarray  # (B, T) int row index
     labels: np.ndarray  # (B,)
-    features: np.ndarray | None = None  # (B, T, 4, D)
+    features: np.ndarray | None = None  # (F, 4, D)
 
     @property
     def batch_size(self) -> int:
-        return self.pose_raw.shape[0]
+        return self.frames.shape[0]
 
     @property
     def n_frames(self) -> int:
-        return self.pose_raw.shape[1]
+        return self.frames.shape[1]
 
 
 @dataclass
@@ -82,7 +88,7 @@ def spatial_attention_weights(
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Softmax weights over the 4 hand slots, for a frame (B, .) or a span of frames (B, t, .)."""
+    """Softmax weights (..., 4) over the hand slots, for inputs of any leading shape."""
     if cond not in ATTENTION_CONDITIONINGS:
         raise ValueError(f"conditioning {cond!r} does not use an attention network")
     parts = [pose_aug_t] if cond in POSE_CONDITIONINGS else []
@@ -96,16 +102,15 @@ def spatial_attention_weights(
 
 
 def context_vector(v: Tensor, p: Tensor) -> Tensor:
-    """Rows of v (..., n, d) mixed by weights p (..., n): hand slots by spatial
-    attention, or time steps by temporal attention."""
-    *lead, n, d = v.shape
-    if p.shape != (*lead, n):
-        raise ShapeError(f"attention shape {p.shape} does not match features {v.shape}")
+    """Rows of v (rows, n, d) mixed by weights p (..., n), whose leading axes
+    hold the rows: hand slots by spatial attention, or time steps by
+    temporal attention.  Returns (..., d)."""
+    *lead, n = p.shape
     rows = int(np.prod(lead))
-    if v.ndim != 3:
-        v = T.reshape(v, (rows, n, d))
+    if v.ndim != 3 or v.shape[:2] != (rows, n):
+        raise ShapeError(f"attention shape {p.shape} does not match features {v.shape}")
     mixed = T.matmul(T.reshape(p, (rows, 1, n)), v)
-    return T.reshape(mixed, (*lead, d))
+    return T.reshape(mixed, (*lead, v.shape[-1]))
 
 
 def _join_steps(parts: list[Tensor]) -> Tensor:
@@ -196,50 +201,33 @@ class RgbStream:
                 f"feature dim {batch.features.shape[-1]} != stream dim {self.feat_dim}"
             )
         b, n_frames = batch.batch_size, batch.n_frames
+        frames = batch.frames
 
-        # Unless attention reads h, nothing before the GRU depends on time: the
-        # front end runs once over the whole window and the GRU scans it once.
-        # Otherwise each frame is a span of its own, fed the last span's state.
-        per_frame = self.conditioning in HIDDEN_CONDITIONINGS
-        spans = [(t, t + 1) for t in range(n_frames)] if per_frame else [(0, n_frames)]
-        h = Tensor(np.zeros((b, 1, self.hidden_dim)))
-        states: list[Tensor] = []
-        attentions: list[Tensor] = []
-        for start, stop in spans:
-            # Stored glimpse features stand in for a frozen backbone.
-            feats = batch.features[:, start:stop]  # (B, t, 4, D)
-            mask = batch.hand_mask[:, start:stop]  # (B, t, 4)
-            if self.conditioning == "concat":
-                ctx = Tensor((feats * mask[..., None]).reshape(b, stop - start, -1))
-            else:
-                # Absent hands weigh zero, so they contribute nothing to the context.
-                weights = Tensor(mask)
-                if self.attn is not None:
-                    p = spatial_attention_weights(
-                        self.attn,
-                        self.conditioning,
-                        Tensor(batch.pose_aug[:, start:stop]),
-                        h,
-                        mask_t=mask if self.mask_absent else None,
-                        dropout_rate=self.dropout_rate,
-                        rng=rng,
-                        training=training,
-                    )
-                    attentions.append(p)
-                    weights = T.multiply(p, weights)
-                ctx = context_vector(Tensor(feats), weights)
-            ctx = dropout(ctx, self.dropout_rate, rng, training)
-            # Only one-frame spans follow another, so the last state is h itself.
-            h0 = T.reshape(h, (b, self.hidden_dim)) if states else None
-            h = self.gru.run(ctx, h0)  # (B, t, H)
-            states.append(h)
-
-        hidden_states = _join_steps(states)  # (B, T, H)
-        spatial = _join_steps(attentions) if attentions else None
+        if self.conditioning in HIDDEN_CONDITIONINGS:
+            # Attention reads h: each frame is a span of its own, fed the last
+            # span's state, over the rows that the windows show at that frame.
+            h = Tensor(np.zeros((b, 1, self.hidden_dim)))
+            states: list[Tensor] = []
+            attentions: list[Tensor] = []
+            for t in range(n_frames):
+                ctx, p = self._front_end(batch, frames[:, t : t + 1], h, training, rng)
+                attentions.append(p)
+                h0 = T.reshape(h, (b, self.hidden_dim)) if states else None
+                h = self.gru.run(ctx, h0)  # (B, 1, H)
+                states.append(h)
+            hidden_states = _join_steps(states)  # (B, T, H)
+            spatial = _join_steps(attentions)
+        else:
+            # Nothing before the GRU depends on time or on the window: the
+            # front end and the input projection run once per distinct frame,
+            # and the windows gather their rows for one scan.
+            ctx, p = self._front_end(batch, slice(None), None, training, rng)
+            hidden_states = self.gru.run(ctx, rows=frames)  # (B, T, H)
+            spatial = None if p is None else T.gather_rows(p, frames)
 
         per_step = p_prime = None
         if self.use_temporal:
-            motion = Tensor(batch.motion.reshape(b, -1))
+            motion = Tensor(batch.motion[frames].reshape(b, -1))
             p_prime = T.softmax(self.temporal(motion, self.dropout_rate, rng, training))
             logits = self.head(context_vector(hidden_states, p_prime))
         else:
@@ -252,6 +240,40 @@ class RgbStream:
             spatial_attention=spatial,
             temporal_attention=p_prime,
         )
+
+    def _front_end(
+        self,
+        batch: WindowBatch,
+        rows: np.ndarray | slice,
+        h: Tensor | None,
+        training: bool,
+        rng: np.random.Generator | None,
+    ) -> tuple[Tensor, Tensor | None]:
+        """GRU inputs (..., in) and spatial attention (..., 4) or None over the
+        table ``rows``, attending from state h if the conditioning reads it."""
+        # Stored glimpse features stand in for a frozen backbone.
+        feats = batch.features[rows]  # (..., 4, D)
+        mask = batch.hand_mask[rows]  # (..., 4)
+        p = None
+        if self.conditioning == "concat":
+            ctx = Tensor((feats * mask[..., None]).reshape(*mask.shape[:-1], -1))
+        else:
+            # Absent hands weigh zero, so they contribute nothing to the context.
+            weights = Tensor(mask)
+            if self.attn is not None:
+                p = spatial_attention_weights(
+                    self.attn,
+                    self.conditioning,
+                    Tensor(batch.pose_aug[rows]),
+                    h,
+                    mask_t=mask if self.mask_absent else None,
+                    dropout_rate=self.dropout_rate,
+                    rng=rng,
+                    training=training,
+                )
+                weights = T.multiply(p, weights)
+            ctx = context_vector(Tensor(feats.reshape(-1, *feats.shape[-2:])), weights)
+        return dropout(ctx, self.dropout_rate, rng, training), p
 
     def _pool_steps(self, per_step: Tensor, n_frames: int) -> Tensor:
         if self.pooling == "average":
@@ -302,7 +324,7 @@ class PoseStream:
             raise ShapeError("pose stream: empty window")
         rate = self.dropout_rate if self.stack_dropout else 0.0
         hidden_states = self.stack.forward(
-            Tensor(batch.pose_raw), dropout_rate=rate, rng=rng, training=training
+            Tensor(batch.pose_raw[batch.frames]), dropout_rate=rate, rng=rng, training=training
         )
         per_step = self.head(hidden_states)
         logits = T.mean_axis(per_step, axis=1)

@@ -124,15 +124,20 @@ class GruParams:
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.W": self.W, f"{prefix}.U": self.U, f"{prefix}.b": self.b}
 
-    def run(self, xs: Tensor, h0: Tensor | None = None) -> Tensor:
+    def run(self, xs: Tensor, h0: Tensor | None = None, rows: np.ndarray | None = None) -> Tensor:
         """Hidden states (B, T, H) over inputs xs (B, T, in), from h0 (zeros by default).
 
         The input projection of every step is one GEMM over the B*T rows;
-        only the recurrence runs step by step, inside ``gru_scan``.
+        only the recurrence runs step by step, inside ``gru_scan``.  With
+        ``rows`` (B, T), xs is a table of inputs (n, in) and step t of
+        sequence b reads row ``rows[b, t]``: each row is projected once.
         """
+        xp = T.linear(xs, self.W, self.b)
+        if rows is not None:
+            xp = T.gather_rows(xp, rows)
         if h0 is None:
-            h0 = Tensor(np.zeros((xs.shape[0], self.hidden_dim)))
-        return T.gru_scan(T.linear(xs, self.W, self.b), self.U, h0)
+            h0 = Tensor(np.zeros((xp.shape[0], self.hidden_dim)))
+        return T.gru_scan(xp, self.U, h0)
 
 
 def gru_init(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> GruParams:

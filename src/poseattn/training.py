@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, DatasetError, dataset_content_hash, load_dataset
+from .data import Dataset, DatasetError, dataset_content_hash, load_dataset, replacing
 from .model import CONDITIONINGS, PoseStream, RgbStream, WindowBatch, fuse_logits
 from .nn import AdamState, adam_step, collect_grads, zero_grads
 from .pose import (
@@ -128,7 +127,7 @@ class PreparedSequence:
     pose_raw: np.ndarray  # (L, P)
     pose_aug: np.ndarray  # (L, 3P)
     motion: np.ndarray  # (L, 2)
-    features: np.ndarray  # (L, 4, D) f64
+    features: np.ndarray  # (L, 4, D) as stored (f32); batches widen them to f64
     hand_mask: np.ndarray  # (L, 4) f64
     gt_slot: np.ndarray | None = None
     gt_window: np.ndarray | None = None
@@ -150,7 +149,7 @@ def prepare_sequences(dataset: Dataset) -> dict[str, PreparedSequence]:
             pose_raw=seq.pose_vectors(),
             pose_aug=augment_pose(seq),
             motion=motion_stats(seq),
-            features=seqdata.features.astype(np.float64),
+            features=seqdata.features,
             hand_mask=np.broadcast_to(mask, (length, 4)).copy(),
             gt_slot=seqdata.gt_slot,
             gt_window=seqdata.gt_window,
@@ -159,13 +158,43 @@ def prepare_sequences(dataset: Dataset) -> dict[str, PreparedSequence]:
 
 
 def make_batch(samples: list[PreparedSequence], windows: list[np.ndarray]) -> WindowBatch:
+    """Windows of frame indices into their samples, over a table of distinct frames.
+
+    Each distinct (sample, frame) is copied into the f64 table once, in order
+    of first appearance, so a batch whose frames are all distinct gets
+    ``frames == arange(B*T).reshape(B, T)``.
+    """
+    distinct_samples = list({id(s): s for s in samples}.values())  # in order of first appearance
+    number = {id(s): i for i, s in enumerate(distinct_samples)}
+    windows = np.asarray(windows)
+    if windows.min() < 0 or (windows >= np.array([[s.length] for s in samples])).any():
+        raise IndexError("make_batch: a window frame lies outside its sequence")
+    longest = max(s.length for s in distinct_samples)
+    keys = np.array([number[id(s)] for s in samples])[:, None] * longest + windows
+    distinct, first, inverse = np.unique(keys.reshape(-1), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    row = np.empty_like(order)
+    row[order] = np.arange(order.size)
+    seq_of, frame_of = np.divmod(distinct[order], longest)
+    # Each run of consecutive frames of one sample is copied as one slice.
+    breaks = (np.diff(seq_of) != 0) | (np.diff(frame_of) != 1)
+    cuts = [0, *(np.flatnonzero(breaks) + 1), order.size]
+
+    def table(name: str) -> np.ndarray:
+        out = np.empty((order.size, *getattr(samples[0], name).shape[1:]))
+        for lo, hi in zip(cuts, cuts[1:]):
+            start = frame_of[lo]
+            out[lo:hi] = getattr(distinct_samples[seq_of[lo]], name)[start : start + hi - lo]
+        return out
+
     return WindowBatch(
-        pose_raw=np.stack([s.pose_raw[w] for s, w in zip(samples, windows)]),
-        pose_aug=np.stack([s.pose_aug[w] for s, w in zip(samples, windows)]),
-        motion=np.stack([s.motion[w] for s, w in zip(samples, windows)]),
-        hand_mask=np.stack([s.hand_mask[w] for s, w in zip(samples, windows)]),
+        pose_raw=table("pose_raw"),
+        pose_aug=table("pose_aug"),
+        motion=table("motion"),
+        hand_mask=table("hand_mask"),
+        frames=row[inverse.reshape(-1)].reshape(keys.shape),
         labels=np.array([s.label for s in samples]),
-        features=np.stack([s.features[w] for s, w in zip(samples, windows)]),
+        features=table("features"),
     )
 
 
@@ -226,6 +255,8 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 
 
 _STREAM_TAG = {"rgb": 11, "pose": 13}
+# Sequences per eval forward: five windows each in predict_logits, one in dump_attention.
+EVAL_CHUNK = 16
 
 
 def evaluate(
@@ -233,7 +264,7 @@ def evaluate(
     prepared: dict[str, PreparedSequence],
     ids: list[str],
     clip_len: int,
-    chunk: int = 16,
+    chunk: int = EVAL_CHUNK,
 ) -> float:
     """Top-1 accuracy under the fixed multi-window protocol."""
     logits = predict_logits(streams, prepared, ids, clip_len, chunk=chunk)
@@ -246,7 +277,7 @@ def predict_logits(
     prepared: dict[str, PreparedSequence],
     ids: list[str],
     clip_len: int,
-    chunk: int = 16,
+    chunk: int = EVAL_CHUNK,
 ) -> np.ndarray:
     """Fused sequence logits: per stream, average logits over the five eval
     windows; then sum streams."""
@@ -405,8 +436,10 @@ def run_train(config: RunConfig, dataset: Dataset | None = None) -> TrainResult:
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "config.json").write_text(json.dumps(config.to_json(), indent=2, sort_keys=True))
-        (out_dir / "dataset_hash.txt").write_text(ds_hash + "\n")
+        with replacing(out_dir / "config.json") as f:
+            f.write(json.dumps(config.to_json(), indent=2, sort_keys=True))
+        with replacing(out_dir / "dataset_hash.txt") as f:
+            f.write(ds_hash + "\n")
 
     t0 = time.monotonic()
     try:
@@ -438,21 +471,12 @@ def run_train(config: RunConfig, dataset: Dataset | None = None) -> TrainResult:
 
     if out_dir:
         _write_metrics(out_dir / "metrics.csv", result)
-        (out_dir / "result.json").write_text(
-            json.dumps(
-                {
-                    "test_acc": result.test_acc,
-                    "best": {
-                        k: {"epoch": t.best_epoch, "val_acc": t.best_val_acc}
-                        for k, t in result.streams.items()
-                    },
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        best = {k: {"epoch": t.best_epoch, "val_acc": t.best_val_acc} for k, t in result.streams.items()}
+        with replacing(out_dir / "result.json") as f:
+            f.write(json.dumps({"test_acc": result.test_acc, "best": best}, indent=2, sort_keys=True))
         # Wall-clock lives outside metrics.csv so reruns stay bitwise comparable.
-        (out_dir / "timing.json").write_text(json.dumps({"train_seconds": wall}))
+        with replacing(out_dir / "timing.json") as f:
+            f.write(json.dumps({"train_seconds": wall}))
         save_checkpoint(out_dir / "checkpoint.bin", config, dims, result)
     return result
 
@@ -464,7 +488,8 @@ def _write_metrics(path: Path, result: TrainResult) -> None:
             lines.append(f"{name},{row.epoch},{row.train_loss!r},{row.val_acc!r}")
     for split, acc in result.test_acc.items():
         lines.append(f"final,{split},," + repr(acc))
-    path.write_text("\n".join(lines) + "\n")
+    with replacing(path) as f:
+        f.write("\n".join(lines) + "\n")
 
 
 CHECKPOINT_MAGIC = b"POSECKP1"
@@ -520,26 +545,18 @@ def save_checkpoint(
         },
         sort_keys=True,
     ).encode()
-    # Write a sibling file, then rename it over the target: a failed save
-    # leaves the previous checkpoint (the preserved best) untouched.
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(len(header).to_bytes(8, "little"))
-            f.write(header)
-            for trained, params in streams.values():
-                order = sorted(params)
-                for pname in order:
-                    _write_array(f, params[pname].data)
-                for pname in order:
-                    _write_array(f, trained.adam.m.get(pname, np.zeros_like(params[pname].data)))
-                    _write_array(f, trained.adam.v.get(pname, np.zeros_like(params[pname].data)))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    # A failed save leaves the previous checkpoint (the preserved best) untouched.
+    with replacing(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(len(header).to_bytes(8, "little"))
+        f.write(header)
+        for trained, params in streams.values():
+            order = sorted(params)
+            for pname in order:
+                _write_array(f, params[pname].data)
+            for pname in order:
+                _write_array(f, trained.adam.m.get(pname, np.zeros_like(params[pname].data)))
+                _write_array(f, trained.adam.v.get(pname, np.zeros_like(params[pname].data)))
 
 
 def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, dict]]:
@@ -603,30 +620,27 @@ def dump_attention(
         raise ValueError("attention dumps need an RGB stream")
     logits = predict_logits(streams, prepared, ids, clip_len)
     records = []
-    for row, seq_id in enumerate(ids):
-        s = prepared[seq_id]
-        start = eval_window_starts(s.length, clip_len)[0]
-        window = window_indices(s.length, start, clip_len)
-        batch = make_batch([s], [window])
-        out = rgb.forward(batch, training=False)
-        rec = {
-            "sequence_id": seq_id,
-            "window_start": int(start),
-            "frames": [int(i) for i in window],
-            "p": out.spatial_attention.data[0].tolist()
-            if out.spatial_attention is not None
-            else None,
-            "p_prime": out.temporal_attention.data[0].tolist()
-            if out.temporal_attention is not None
-            else None,
-            "predicted": int(logits[row].argmax()),
-            "true": int(s.label),
-            "gt_active_slot": s.gt_slot[window].tolist() if s.gt_slot is not None else None,
-            "gt_window": s.gt_window.tolist() if s.gt_window is not None else None,
-        }
-        records.append(rec)
+    for lo in range(0, len(ids), EVAL_CHUNK):
+        chunk_ids = ids[lo : lo + EVAL_CHUNK]
+        samples = [prepared[i] for i in chunk_ids]
+        starts = [eval_window_starts(s.length, clip_len)[0] for s in samples]
+        windows = [window_indices(s.length, st, clip_len) for s, st in zip(samples, starts)]
+        out = rgb.forward(make_batch(samples, windows), training=False)
+        p, p_prime = out.spatial_attention, out.temporal_attention
+        for k, (seq_id, s, start, window) in enumerate(zip(chunk_ids, samples, starts, windows)):
+            records.append({
+                "sequence_id": seq_id,
+                "window_start": int(start),
+                "frames": [int(i) for i in window],
+                "p": p.data[k].tolist() if p is not None else None,
+                "p_prime": p_prime.data[k].tolist() if p_prime is not None else None,
+                "predicted": int(logits[lo + k].argmax()),
+                "true": int(s.label),
+                "gt_active_slot": s.gt_slot[window].tolist() if s.gt_slot is not None else None,
+                "gt_window": s.gt_window.tolist() if s.gt_window is not None else None,
+            })
     if out_path is not None:
-        with open(out_path, "w") as f:
+        with replacing(out_path) as f:
             for rec in records:
                 f.write(json.dumps(rec) + "\n")
     return records

@@ -1,5 +1,9 @@
+import builtins
 import dataclasses
+import errno
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +158,55 @@ def test_mean_accuracies_and_table_formatting():
     assert means["ta"] == {}
     table = format_table(results, ["sum", "ta"])
     assert "sum" in table and "failed" in table
+
+
+def _disk_full_on(monkeypatch, name: str) -> None:
+    """Writes to any file whose name starts with ``name`` store half their
+    text, then fail as a full disk does."""
+    real_open = builtins.open
+
+    class HalfWritten:
+        def __init__(self, f):
+            self._f = f
+
+        def write(self, text):
+            self._f.write(text[: len(text) // 2])
+            self._f.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def __getattr__(self, attr):
+            return getattr(self._f, attr)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._f.close()
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and isinstance(file, (str, Path)) and Path(file).name.startswith(name):
+            return HalfWritten(f)
+        return f
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    monkeypatch.setattr(io, "open", failing_open)
+
+
+def test_failed_write_keeps_the_previous_metrics_and_grid(tiny_dataset_path, tmp_path, monkeypatch):
+    base = base_config(tiny_dataset_path)
+    grid, run = tmp_path / "grid", tmp_path / "run"
+    run_ablation(base, seeds=[0], out_dir=grid, rows=["sum"], attention_dumps=False)
+    training.run_train(dataclasses.replace(base, out_dir=str(run)))
+    before = {p: p.read_bytes() for p in (grid / "grid.json", run / "metrics.csv")}
+    with monkeypatch.context() as m:
+        _disk_full_on(m, "grid.json")
+        with pytest.raises(OSError, match="No space"):
+            run_ablation(base, seeds=[0], out_dir=grid, rows=["sum"], attention_dumps=False)
+    with monkeypatch.context() as m:
+        _disk_full_on(m, "metrics.csv")
+        with pytest.raises(OSError, match="No space"):
+            training.run_train(dataclasses.replace(base, out_dir=str(run)))
+    for path, content in before.items():
+        assert path.read_bytes() == content, path.name
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]

@@ -102,12 +102,13 @@ def _attention_stream(rng, cond, ta, n_frames=10):
 
 def _random_batch(rng, b, t):
     return WindowBatch(
-        pose_raw=rng.normal(size=(b, t, 6)),
-        pose_aug=rng.normal(size=(b, t, 18)),
-        motion=np.abs(rng.normal(size=(b, t, 2))),
-        hand_mask=np.ones((b, t, 4)),
+        pose_raw=rng.normal(size=(b * t, 6)),
+        pose_aug=rng.normal(size=(b * t, 18)),
+        motion=np.abs(rng.normal(size=(b * t, 2))),
+        hand_mask=np.ones((b * t, 4)),
+        frames=np.arange(b * t).reshape(b, t),
         labels=rng.integers(0, 3, size=b),
-        features=rng.normal(size=(b, t, 4, 6)),
+        features=rng.normal(size=(b * t, 4, 6)),
     )
 
 
@@ -275,7 +276,7 @@ class _ProtocolSpy:
         from poseattn.tensor import Tensor
 
         self.calls += 1
-        starts = batch.pose_raw[:, 0, 0]
+        starts = batch.pose_raw[batch.frames[:, 0], 0]
         self.window_starts.extend(int(s) for s in starts)
         logits = np.zeros((len(starts), 4))
         logits[:, 0] = starts

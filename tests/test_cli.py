@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from poseattn.cli import main
+from poseattn.data import dataset_content_hash
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +117,29 @@ def test_checkpoint_against_other_feature_dim_is_data_error(dataset_path, tmp_pa
     assert main(["dump-attention"] + ckpt + ["--out", str(tmp_path / "attn.jsonl")]) == 2
     assert "feature dim" in capsys.readouterr().err
     assert not (tmp_path / "attn.jsonl").exists()
+
+
+def test_checkpoint_against_other_dataset_is_data_error_unless_allowed(dataset_path, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--dataset", str(dataset_path), "--out", str(run_dir)] + TRAIN_FLAGS) == 0
+    other = tmp_path / "other.bin"  # same dimensions and splits, another seed
+    assert main([
+        "synth", "--kind", "active_hand", "--out", str(other),
+        "--counts", "40", "10", "10", "--seed", "1",
+    ]) == 0
+    capsys.readouterr()
+    ckpt = ["--checkpoint", str(run_dir / "checkpoint.bin"), "--dataset", str(other)]
+    dump = ["--out", str(tmp_path / "attn.jsonl"), "--limit", "3"]
+    trained_on = (run_dir / "dataset_hash.txt").read_text().strip()
+    for argv in (["eval"] + ckpt, ["dump-attention"] + ckpt + dump):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        for name in ("checkpoint.bin", "other.bin", trained_on, dataset_content_hash(other)):
+            assert name in err
+        assert not (tmp_path / "attn.jsonl").exists()
+    assert main(["eval"] + ckpt + ["--allow-other-dataset"]) == 0
+    assert main(["dump-attention"] + ckpt + dump + ["--allow-other-dataset"]) == 0
+    assert len((tmp_path / "attn.jsonl").read_text().splitlines()) == 3
 
 
 def test_gradcheck_command(capsys):

@@ -14,18 +14,23 @@ from poseattn.model import (
     spatial_attention_weights,
 )
 from poseattn.nn import mlp_init
-from poseattn.tensor import ShapeError, Tensor
+from poseattn.tensor import NumericError, ShapeError, Tensor
 from poseattn.verify import TinyDims
 
 
-def make_batch(rng, b=2, t=4, d=6, pose_dim=12, n_classes=3):
+def make_batch(rng, b=2, t=4, d=6, pose_dim=12, n_classes=3, step=None):
+    """Windows over a table of frames: each its own t rows, or starting
+    ``step`` rows apart in one shared table."""
+    frames = np.arange(b * t).reshape(b, t) if step is None else step * np.arange(b)[:, None] + np.arange(t)
+    rows = frames.max() + 1
     return WindowBatch(
-        pose_raw=rng.normal(size=(b, t, pose_dim)),
-        pose_aug=rng.normal(size=(b, t, 3 * pose_dim)),
-        motion=np.abs(rng.normal(size=(b, t, 2))),
-        hand_mask=np.ones((b, t, 4)),
+        pose_raw=rng.normal(size=(rows, pose_dim)),
+        pose_aug=rng.normal(size=(rows, 3 * pose_dim)),
+        motion=np.abs(rng.normal(size=(rows, 2))),
+        hand_mask=np.ones((rows, 4)),
+        frames=frames,
         labels=rng.integers(0, n_classes, size=b),
-        features=rng.normal(size=(b, t, 4, d)),
+        features=rng.normal(size=(rows, 4, d)),
     )
 
 
@@ -118,12 +123,13 @@ class TestRgbStream:
             dropout_rate=0.0,
         )
         batch = WindowBatch(
-            pose_raw=np.zeros((1, 20, 150)),
-            pose_aug=rng.normal(size=(1, 20, 450)),
-            motion=np.abs(rng.normal(size=(1, 20, 2))),
-            hand_mask=np.ones((1, 20, 4)),
+            pose_raw=np.zeros((20, 150)),
+            pose_aug=rng.normal(size=(20, 450)),
+            motion=np.abs(rng.normal(size=(20, 2))),
+            hand_mask=np.ones((20, 4)),
+            frames=np.arange(20)[None],
             labels=np.array([7]),
-            features=rng.normal(size=(1, 20, 4, 2048)),
+            features=rng.normal(size=(20, 4, 2048)),
         )
         out = stream.forward(batch)
         assert out.logits.shape == (1, 60)
@@ -133,7 +139,7 @@ class TestRgbStream:
     def test_identical_hand_features_make_conditioning_irrelevant(self):
         rng = np.random.default_rng(10)
         batch = make_batch(np.random.default_rng(11))
-        batch.features[:] = batch.features[:, :, :1, :]  # all 4 slots identical
+        batch.features[:] = batch.features[:, :1, :]  # all 4 slots identical
         logits = {}
         ref = make_stream(np.random.default_rng(42), cond="pose")
         for cond in ("pose", "hidden", "both"):
@@ -148,30 +154,31 @@ class TestRgbStream:
         for cond in CONDITIONINGS:
             stream = make_stream(np.random.default_rng(13), cond=cond, ta=True)
             batch = make_batch(np.random.default_rng(14))
-            batch.hand_mask[:, :, 2:] = 0.0
-            batch.features[:, :, 2:] = 0.0
+            batch.hand_mask[:, 2:] = 0.0
+            batch.features[:, 2:] = 0.0
             zeroed = stream.forward(batch).logits.data
-            batch.features[:, :, 2:] = np.random.default_rng(15).normal(size=(2, 4, 2, 6))
+            batch.features[:, 2:] = np.random.default_rng(15).normal(size=(8, 2, 6))
             assert np.array_equal(stream.forward(batch).logits.data, zeroed), cond
 
     def test_sum_and_concat_gru_inputs(self, monkeypatch):
         # sum adds the present slots; concat lays them out slot-major, absent ones as zeros.
         batch = make_batch(np.random.default_rng(6))
-        batch.hand_mask[0, :, 1] = 0.0
-        present = batch.features * batch.hand_mask[..., None]  # (B, T, 4, D)
-        for cond, expected in (("sum", present.sum(axis=2)), ("concat", present.reshape(2, 4, 24))):
+        batch.hand_mask[batch.frames[0], 1] = 0.0
+        present = batch.features * batch.hand_mask[..., None]  # (F, 4, D)
+        for cond, expected in (("sum", present.sum(axis=1)), ("concat", present.reshape(8, 24))):
             stream = make_stream(np.random.default_rng(6), cond=cond)
             inputs = []
             run = stream.gru.run
 
-            def recording_run(xs, h0=None):
-                inputs.append(xs.data)
-                return run(xs, h0)
+            def recording_run(xs, h0=None, rows=None):
+                inputs.append((xs.data, rows))
+                return run(xs, h0, rows)
 
             monkeypatch.setattr(stream.gru, "run", recording_run)
             stream.forward(batch)
             assert len(inputs) == 1
-            np.testing.assert_allclose(inputs[0], expected, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(inputs[0][0], expected, rtol=0, atol=1e-15)
+            assert np.array_equal(inputs[0][1], batch.frames)
 
     @pytest.mark.parametrize("cond", CONDITIONINGS)
     @pytest.mark.parametrize("ta", [False, True])
@@ -181,10 +188,10 @@ class TestRgbStream:
         for mlp in (stream.attn, stream.temporal):  # off the uniform init
             for layer in mlp.layers if mlp is not None else []:
                 layer.W.data = np.random.default_rng(61).normal(size=layer.W.data.shape)
-        batch = make_batch(np.random.default_rng(62), b=3)
-        batch.hand_mask[0, :, 1] = 0.0
-        batch.hand_mask[1, 2:] = 0.0  # every hand absent
-        batch.hand_mask[2, ::2, 3] = 0.0
+        batch = make_batch(np.random.default_rng(62), b=3, step=1)  # windows share frames
+        batch.hand_mask[0, 1] = 0.0
+        batch.hand_mask[3:5] = 0.0  # every hand absent
+        batch.hand_mask[::2, 3] = 0.0
         out = stream.forward(batch)
         want = _reference_logits(stream, batch)
         np.testing.assert_allclose(out.logits.data, want, rtol=0, atol=1e-12)
@@ -199,6 +206,14 @@ class TestRgbStream:
                 stream.loss(stream.forward(batch, training=True, rng=np.random.default_rng(65)), batch.labels)
             nodes.append(tape.node_count)
         assert nodes[0] == nodes[1]
+
+    @pytest.mark.parametrize("cond", ["pose", "hidden"])
+    def test_non_finite_hand_feature_raises(self, cond):
+        stream = make_stream(np.random.default_rng(66), cond=cond)
+        batch = make_batch(np.random.default_rng(67), step=2)
+        batch.features[batch.frames[1, 3], 2, 0] = np.nan  # one window's frame, one hand
+        with pytest.raises(NumericError):
+            stream.forward(batch)
 
     def test_pose_conditioned_attention_ignores_features(self):
         rng = np.random.default_rng(15)
@@ -255,7 +270,7 @@ class TestRgbStream:
     def test_empty_window_rejected(self):
         stream = make_stream(np.random.default_rng(25))
         batch = make_batch(np.random.default_rng(26))
-        batch.pose_raw = batch.pose_raw[:, :0]
+        batch.frames = batch.frames[:, :0]
         with pytest.raises(ShapeError, match="empty|window"):
             stream.forward(batch)
 
@@ -264,7 +279,7 @@ class TestRgbStream:
         # features are zero, so they contribute nothing to the context).
         # On: their attention weight is driven to zero before the softmax.
         batch = make_batch(np.random.default_rng(50))
-        batch.hand_mask[:, :, 1] = 0.0
+        batch.hand_mask[:, 1] = 0.0
         plain = make_stream(np.random.default_rng(51), cond="pose")
         masked = make_stream(np.random.default_rng(51), cond="pose", mask_absent=True)
         p_plain = plain.forward(batch).spatial_attention.data
@@ -306,17 +321,18 @@ def _reference_logits(stream, batch):
     h = np.zeros((b, H))
     states = []
     for t in range(n):
-        v = batch.features[:, t] * batch.hand_mask[:, t, :, None]  # (B, 4, D)
+        rows = batch.frames[:, t]
+        v = batch.features[rows] * batch.hand_mask[rows, :, None]  # (B, 4, D)
         if cond == "sum":
             x = v.sum(axis=1)
         elif cond == "concat":
             x = v.reshape(b, -1)
         else:
-            parts = [batch.pose_aug[:, t]] if cond in POSE_CONDITIONINGS else []
+            parts = [batch.pose_aug[rows]] if cond in POSE_CONDITIONINGS else []
             parts += [h] if cond in HIDDEN_CONDITIONINGS else []
             logits = _mlp(stream.attn, np.concatenate(parts, axis=1))
             if stream.mask_absent:
-                logits = logits + (1.0 - batch.hand_mask[:, t]) * -1e9
+                logits = logits + (1.0 - batch.hand_mask[rows]) * -1e9
             x = np.einsum("bk,bkd->bd", _softmax(logits), v)
         xz, xr, xc = np.split(x @ W.T + bias, 3, axis=1)
         Uz, Ur, Uc = np.split(U, 3, axis=0)
@@ -328,7 +344,7 @@ def _reference_logits(stream, batch):
     hs = np.stack(states, axis=1)  # (B, T, H)
     head = stream.head
     if stream.use_temporal:
-        p = _softmax(_mlp(stream.temporal, batch.motion.reshape(b, -1)))
+        p = _softmax(_mlp(stream.temporal, batch.motion[batch.frames].reshape(b, -1)))
         return np.einsum("bt,bth->bh", p, hs) @ head.W.data.T + head.b.data
     return (hs @ head.W.data.T + head.b.data).mean(axis=1)
 

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
+import poseattn.data
 import poseattn.training as training
-from poseattn.data import DatasetError, save_dataset
-from poseattn.model import StreamOutput
+from poseattn.data import DatasetError, load_dataset, save_dataset
+from poseattn.model import CONDITIONINGS, StreamOutput
+from poseattn.pose import eval_window_starts, window_indices
 from poseattn.synth import SyntheticSpec, generate
 from poseattn.tensor import NumericError, Tensor
 from poseattn.training import (
@@ -64,7 +66,7 @@ class RecordingStub:
 
     def forward(self, batch, training=False, rng=None):
         self.batches.append(batch)
-        starts = batch.pose_raw[:, 0, 0]  # frame index planted in the fixture
+        starts = batch.pose_raw[batch.frames[:, 0], 0]  # frame index planted in the fixture
         logits = np.zeros((len(starts), self.n_classes))
         logits[:, 0] = starts
         return StreamOutput(logits=Tensor(logits), hidden_states=Tensor(np.zeros((len(starts), 1, 1))))
@@ -97,8 +99,8 @@ class TestEvalProtocol:
         prepared = planted_sequences([100])
         logits = predict_logits([stub], prepared, ["s0"], clip_len=20)
         batch = stub.batches[0]
-        assert batch.pose_raw.shape[0] == 5  # five windows, one sequence
-        starts = batch.pose_raw[:, 0, 0].tolist()
+        assert batch.batch_size == 5  # five windows, one sequence
+        starts = batch.pose_raw[batch.frames[:, 0], 0].tolist()
         assert starts == [0, 20, 40, 60, 80]
         assert logits[0, 0] == np.mean([0, 20, 40, 60, 80])
 
@@ -106,7 +108,8 @@ class TestEvalProtocol:
         stub = RecordingStub()
         prepared = planted_sequences([20])
         predict_logits([stub], prepared, ["s0"], clip_len=20)
-        assert stub.batches[0].pose_raw[:, 0, 0].tolist() == [0, 0, 0, 0, 0]
+        batch = stub.batches[0]
+        assert batch.pose_raw[batch.frames[:, 0], 0].tolist() == [0, 0, 0, 0, 0]
 
     def test_streams_fused_by_logit_sum(self):
         a, b = RecordingStub(), RecordingStub()
@@ -274,7 +277,8 @@ class TestCheckpoint:
                     raise OSError("injected: disk full")
                 return self.f.write(data)
 
-        monkeypatch.setattr(training, "open", lambda *a, **k: TornWrite(open(*a, **k)), raising=False)
+        # Checkpoints are written through data.replacing, which opens the file.
+        monkeypatch.setattr(poseattn.data, "open", lambda *a, **k: TornWrite(open(*a, **k)), raising=False)
         dims = ModelDims.from_dataset(result.dataset, config)
         with pytest.raises(OSError, match="injected"):
             training.save_checkpoint(path, config, dims, result)
@@ -416,3 +420,86 @@ class TestPrepare:
         assert dims.pose_dim == 48
         assert dims.n_classes == 4
         assert dims.feat_dim == 16
+
+
+def _off_uniform_rgb_stream(config, dims, seed):
+    """An RGB stream whose attention networks are off their uniform init."""
+    stream = training.build_rgb_stream(config, dims, np.random.default_rng(seed))
+    shake = np.random.default_rng([seed, 1])
+    for mlp in (stream.attn, stream.temporal):
+        for layer in mlp.layers if mlp is not None else []:
+            layer.W.data = shake.normal(size=layer.W.data.shape)
+    return stream
+
+
+class TestFrameTable:
+    def test_distinct_frames_give_one_row_per_window_position(self):
+        prepared = planted_sequences([30, 40])
+        samples = [prepared["s0"], prepared["s1"]]
+        windows = [np.arange(3, 13), np.arange(20, 30)]
+        batch = training.make_batch(samples, windows)
+        assert np.array_equal(batch.frames, np.arange(20).reshape(2, 10))
+        for name in ("pose_raw", "pose_aug", "motion", "hand_mask", "features"):
+            per_window = np.stack([getattr(s, name)[w] for s, w in zip(samples, windows)])
+            assert np.array_equal(getattr(batch, name)[batch.frames], per_window), name
+        assert batch.labels.tolist() == [0, 1]
+
+    def test_overlapping_windows_share_rows_in_order_of_first_appearance(self):
+        prepared = planted_sequences([12, 12])
+        a, b = prepared["s0"], prepared["s1"]
+        windows = [np.arange(0, 4), np.arange(0, 4), np.arange(2, 6), np.array([9, 10, 11, 11])]
+        batch = training.make_batch([a, b, a, b], windows)
+        # Rows: a0..a3, b0..b3, a4, a5, b9..b11; the clamp-repeated b11 is one row.
+        assert batch.frames.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7], [2, 3, 8, 9], [10, 11, 12, 12]]
+        assert batch.pose_raw[:, 0].tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 9, 10, 11]
+        assert batch.batch_size == 4 and batch.n_frames == 4
+
+    def test_window_frame_outside_its_sequence_rejected(self):
+        prepared = planted_sequences([12, 30])
+        samples = [prepared["s0"], prepared["s1"]]
+        for bad in (np.arange(10, 14), np.arange(-1, 3)):  # s0 has frames 0..11
+            with pytest.raises(IndexError, match="outside its sequence"):
+                training.make_batch(samples, [bad, np.arange(4)])
+
+    @pytest.mark.parametrize("cond", CONDITIONINGS)
+    @pytest.mark.parametrize("ta", [False, True])
+    def test_shared_rows_give_the_logits_of_unshared_rows(self, tiny_dataset_path, cond, ta):
+        config = tiny_config(tiny_dataset_path, conditioning=cond, use_temporal=ta)
+        dataset = load_dataset(tiny_dataset_path)
+        prepared = prepare_sequences(dataset)
+        dims = ModelDims.from_dataset(dataset, config)
+        stream = _off_uniform_rgb_stream(config, dims, 5)
+        ids = dataset.manifest.split_ids("test_seeds")
+        shared = predict_logits([stream], prepared, ids, config.clip_len)
+        # The same five windows per sequence, each over rows of its own.
+        samples, windows = [], []
+        for i in ids:
+            s = prepared[i]
+            for start in eval_window_starts(s.length, config.clip_len):
+                samples.append(dataclasses.replace(s))
+                windows.append(window_indices(s.length, start, config.clip_len))
+        batch = training.make_batch(samples, windows)
+        assert batch.pose_raw.shape[0] == len(windows) * config.clip_len
+        logits = stream.forward(batch).logits.data
+        unshared = logits.reshape(len(ids), -1, logits.shape[-1]).mean(axis=1)
+        np.testing.assert_allclose(shared, unshared, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cond, ta", [("hidden", False), ("pose", True)])
+    def test_batched_attention_dump_matches_one_window_forwards(self, tiny_dataset_path, cond, ta):
+        config = tiny_config(tiny_dataset_path, conditioning=cond, use_temporal=ta)
+        dataset = load_dataset(tiny_dataset_path)
+        prepared = prepare_sequences(dataset)
+        stream = _off_uniform_rgb_stream(config, ModelDims.from_dataset(dataset, config), 6)
+        ids = dataset.manifest.split_ids("test_seeds") + dataset.manifest.split_ids("test_pool")
+        assert len(ids) > training.EVAL_CHUNK  # the dump crosses a chunk boundary
+        records = training.dump_attention([stream], prepared, ids, config.clip_len)
+        for seq_id, rec in zip(ids, records):
+            s = prepared[seq_id]
+            window = np.array(rec["frames"])
+            out = stream.forward(training.make_batch([s], [window]))
+            assert rec["sequence_id"] == seq_id
+            np.testing.assert_allclose(rec["p"], out.spatial_attention.data[0], rtol=0, atol=1e-12)
+            if ta:
+                np.testing.assert_allclose(rec["p_prime"], out.temporal_attention.data[0], rtol=0, atol=1e-12)
+            else:
+                assert rec["p_prime"] is None
