@@ -359,8 +359,8 @@ def gather_rows(a: Tensor, index: Array) -> Tensor:
     """``a[index]``: rows of ``a`` (n, ...) at an integer ``index`` of any shape.
 
     An index that takes every row once, in order, is a reshape: the result
-    and its VJP are views.  Otherwise the VJP scatters ``g`` back by
-    assignment when no row repeats, and sums the repeats with ``np.add.at``.
+    and its VJP are views.  Otherwise the VJP sums ``g`` back into the rows
+    with ``np.add.at``.
     """
     index, shape = np.asarray(index), a.data.shape
     if (
@@ -371,14 +371,10 @@ def gather_rows(a: Tensor, index: Array) -> Tensor:
         raise ShapeError(f"gather_rows: index {index.shape} ({index.dtype}) does not pick rows of {shape}")
     if index.size == shape[0] and np.array_equal(index.reshape(-1), np.arange(index.size)):
         return _make(a.data.reshape(index.shape + shape[1:]), "gather_rows", (a,), (lambda g: g.reshape(shape),))
-    repeats = np.unique(index).size < index.size
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        if repeats:
-            np.add.at(full, index, g)
-        else:
-            full[index] = g
+        np.add.at(full, index, g)
         return full
 
     return _make(a.data[index], "gather_rows", (a,), (vjp,))
