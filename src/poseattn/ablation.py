@@ -15,14 +15,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .data import Dataset, load_dataset, replacing
+from .model import fuse_logits
 from .training import (
     ConfigError,
     RunConfig,
-    TrainResult,
+    accuracy,
     dump_attention,
-    evaluate,
     load_checkpoint,
+    predict_logits,
     prepare_sequences,
     run_train,
 )
@@ -132,27 +135,37 @@ def run_ablation(
 def _fuse_with_pose(
     base: RunConfig, dataset: Dataset, seeds: list[int], out_dir: Path, results: list[CellResult]
 ) -> list[CellResult]:
-    """Re-score every completed cell fused with one shared pose stream per seed."""
-    pose_by_seed: dict[int, TrainResult] = {}
+    """Re-score every completed cell fused with one shared pose stream per seed.
+
+    Each seed's pose stream is scored once per split; each cell adds its own
+    logits to those, as ``predict_logits`` over both streams would.
+    """
+    splits = {split: ids for split in TEST_SPLITS if (ids := dataset.manifest.split_ids(split))}
+    pose_by_seed: dict[int, tuple[dict, dict[str, np.ndarray]]] = {}  # prepared, logits per split
     for seed in seeds:
         config = replace(
             base, variant="pose", seed=seed, out_dir=str(out_dir / f"pose-seed{seed}")
         )
-        pose_by_seed[seed] = run_train(config, dataset=dataset)
+        pose_result = run_train(config, dataset=dataset)
+        prepared, pose = pose_result.prepared, pose_result.streams["pose"].stream
+        pose_by_seed[seed] = prepared, {
+            split: predict_logits([pose], prepared, ids, base.clip_len) for split, ids in splits.items()
+        }
     fused: list[CellResult] = []
     for cell in results:
         if cell.status != "ok":
             fused.append(cell)
             continue
         _, _, streams = load_checkpoint(out_dir / f"{cell.row}-seed{cell.seed}" / "checkpoint.bin")
-        pose_result = pose_by_seed[cell.seed]
-        models = [pose_result.streams["pose"].stream, streams["rgb"]["stream"]]
+        rgb = streams["rgb"]["stream"]
+        prepared, pose_logits = pose_by_seed[cell.seed]
         acc = {
-            split: evaluate(
-                models, pose_result.prepared, dataset.manifest.split_ids(split), base.clip_len
+            split: accuracy(
+                fuse_logits(pose_logits[split], predict_logits([rgb], prepared, ids, base.clip_len)),
+                prepared,
+                ids,
             )
-            for split in TEST_SPLITS
-            if dataset.manifest.split_ids(split)
+            for split, ids in splits.items()
         }
         fused.append(CellResult(row=cell.row, seed=cell.seed, status="ok", acc=acc))
     return fused

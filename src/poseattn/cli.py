@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from .ablation import GRID_ROWS, format_table, run_ablation
 from .data import DatasetError, dataset_content_hash, export_manifest_json, load_dataset, save_dataset
+from .gradcheck import EPS_RANGE
 from .synth import SyntheticSpec, generate
 from .tensor import GraphError, NumericError, ShapeError
 from .training import (
@@ -206,7 +208,16 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    cells = run_gradcheck(TinyDims(), eps=args.eps, tol=args.tol, seed=args.seed or 0)
+    # Checked before any cell runs.  NaN fails every comparison, so each
+    # range test also rejects it.
+    lo, hi = EPS_RANGE
+    if not lo <= args.eps <= hi:
+        raise ConfigError(f"--eps {args.eps} must be in [{lo:g}, {hi:g}]")
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"--tol {args.tol} must be finite and > 0")
+    if args.seed < 0:
+        raise ConfigError(f"--seed {args.seed} must be >= 0")
+    cells = run_gradcheck(TinyDims(), eps=args.eps, tol=args.tol, seed=args.seed)
     print(format_report(cells))
     if all(c.passed for c in cells):
         print("all cells pass")

@@ -25,9 +25,12 @@ class GradCheckResult:
     tol: float
 
 
+EPS_RANGE = (1e-7, 1e-3)  # probe sizes the checker supports
+
+
 def _validate_eps(eps: float) -> None:
-    if not 1e-7 <= eps <= 1e-3:
-        raise ValueError(f"eps {eps} outside the supported range [1e-7, 1e-3]")
+    if not EPS_RANGE[0] <= eps <= EPS_RANGE[1]:
+        raise ValueError(f"eps {eps} outside the supported range [{EPS_RANGE[0]:g}, {EPS_RANGE[1]:g}]")
 
 
 def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

@@ -10,6 +10,7 @@ classification.  Streams fuse by summing logits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ class StreamOutput:
 def spatial_attention_weights(
     attn: Mlp,
     cond: str,
-    pose_aug_t: Tensor,
+    pose_aug_t: Tensor | None,
     h_prev: Tensor,
     mask_t: np.ndarray | None = None,
     dropout_rate: float = 0.0,
@@ -106,7 +107,7 @@ def context_vector(v: Tensor, p: Tensor) -> Tensor:
     hold the rows: hand slots by spatial attention, or time steps by
     temporal attention.  Returns (..., d)."""
     *lead, n = p.shape
-    rows = int(np.prod(lead))
+    rows = math.prod(lead)
     if v.ndim != 3 or v.shape[:2] != (rows, n):
         raise ShapeError(f"attention shape {p.shape} does not match features {v.shape}")
     mixed = T.matmul(T.reshape(p, (rows, 1, n)), v)
@@ -205,12 +206,15 @@ class RgbStream:
 
         if self.conditioning in HIDDEN_CONDITIONINGS:
             # Attention reads h: each frame is a span of its own, fed the last
-            # span's state, over the rows that the windows show at that frame.
+            # span's state, over the rows that the windows show at that frame
+            # (gathered once for every span).
+            feats, mask, pose = (a[frames] for a in (batch.features, batch.hand_mask, batch.pose_aug))
             h = Tensor(np.zeros((b, 1, self.hidden_dim)))
             states: list[Tensor] = []
             attentions: list[Tensor] = []
             for t in range(n_frames):
-                ctx, p = self._front_end(batch, frames[:, t : t + 1], h, training, rng)
+                span = slice(t, t + 1)
+                ctx, p = self._front_end(feats[:, span], mask[:, span], pose[:, span], h, training, rng)
                 attentions.append(p)
                 h0 = T.reshape(h, (b, self.hidden_dim)) if states else None
                 h = self.gru.run(ctx, h0)  # (B, 1, H)
@@ -221,7 +225,7 @@ class RgbStream:
             # Nothing before the GRU depends on time or on the window: the
             # front end and the input projection run once per distinct frame,
             # and the windows gather their rows for one scan.
-            ctx, p = self._front_end(batch, slice(None), None, training, rng)
+            ctx, p = self._front_end(batch.features, batch.hand_mask, batch.pose_aug, None, training, rng)
             hidden_states = self.gru.run(ctx, rows=frames)  # (B, T, H)
             spatial = None if p is None else T.gather_rows(p, frames)
 
@@ -243,17 +247,17 @@ class RgbStream:
 
     def _front_end(
         self,
-        batch: WindowBatch,
-        rows: np.ndarray | slice,
+        feats: np.ndarray,
+        mask: np.ndarray,
+        pose_aug: np.ndarray,
         h: Tensor | None,
         training: bool,
         rng: np.random.Generator | None,
     ) -> tuple[Tensor, Tensor | None]:
-        """GRU inputs (..., in) and spatial attention (..., 4) or None over the
-        table ``rows``, attending from state h if the conditioning reads it."""
+        """GRU inputs (..., in) and spatial attention (..., 4) or None over frame
+        rows with glimpse features (..., 4, D), hand mask (..., 4) and augmented
+        pose (..., 3P), attending from state h if the conditioning reads it."""
         # Stored glimpse features stand in for a frozen backbone.
-        feats = batch.features[rows]  # (..., 4, D)
-        mask = batch.hand_mask[rows]  # (..., 4)
         p = None
         if self.conditioning == "concat":
             ctx = Tensor((feats * mask[..., None]).reshape(*mask.shape[:-1], -1))
@@ -264,7 +268,7 @@ class RgbStream:
                 p = spatial_attention_weights(
                     self.attn,
                     self.conditioning,
-                    Tensor(batch.pose_aug[rows]),
+                    Tensor(pose_aug) if self.conditioning in POSE_CONDITIONINGS else None,
                     h,
                     mask_t=mask if self.mask_absent else None,
                     dropout_rate=self.dropout_rate,

@@ -244,7 +244,7 @@ class AdamState:
 def adam_step(state: AdamState, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:
     """Apply one Adam update in place; parameters without a gradient are untouched."""
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError(f"adam_step: non-finite gradient for {name}")
         if g.shape != params[name].data.shape:
             raise ShapeError(

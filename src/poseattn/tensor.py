@@ -12,6 +12,7 @@ float64: the gradient checker drives the test suite and needs the headroom.
 """
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Sequence
 
@@ -32,19 +33,18 @@ class GraphError(RuntimeError):
     """Tape misuse: non-scalar loss, detached loss, or repeated backward."""
 
 
-_TLS = threading.local()
+class _Tapes(threading.local):
+    """Each thread's stack of active tapes."""
+
+    def __init__(self) -> None:
+        self.stack: list[Tape] = []
 
 
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = []
-        _TLS.stack = stack
-    return stack
+_TLS = _Tapes()
 
 
 def active_tape() -> "Tape | None":
-    stack = _tape_stack()
+    stack = _TLS.stack
     return stack[-1] if stack else None
 
 
@@ -61,7 +61,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor created with non-finite values")
         self.data = arr
         self.requires_grad = requires_grad
@@ -104,11 +104,11 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TLS.stack.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        stack = _tape_stack()
+        stack = _TLS.stack
         if not stack or stack[-1] is not self:
             raise GraphError("tape context exited out of order")
         stack.pop()
@@ -148,16 +148,16 @@ class Tape:
 
 def _make(out_data: Array, op: str, parents: Sequence[Tensor], vjps: Sequence[Callable | None]) -> Tensor:
     """Wrap a primitive result, validating finiteness and recording on the tape."""
-    if not np.all(np.isfinite(out_data)):
+    if not np.isfinite(out_data).all():
         raise NumericError(f"{op}: non-finite values in output")
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
     out.requires_grad = False
-    tape = active_tape()
-    if tape is not None and any(p.requires_grad for p in parents):
+    stack = _TLS.stack
+    if stack and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        tape._record(out, tuple(parents), tuple(vjps))
+        stack[-1]._record(out, tuple(parents), tuple(vjps))
     return out
 
 
@@ -271,7 +271,7 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise ShapeError(f"reshape: cannot view {a.data.shape} as {shape}")
     old = a.data.shape
     return _make(a.data.reshape(shape), "reshape", (a,), (lambda g: g.reshape(old),))
@@ -299,8 +299,12 @@ def mean_axis(a: Tensor, axis: int | None = None) -> Tensor:
         )
     _check_axis(a, axis, "mean")
     n = a.data.shape[axis]
+    # What ndarray.mean computes (sum, then one true division), without its
+    # Python-level wrapper.
+    out = a.data.sum(axis=axis)
+    out /= n
     return _make(
-        a.data.mean(axis=axis), "mean", (a,),
+        out, "mean", (a,),
         (lambda g: np.broadcast_to(np.expand_dims(g / n, axis), a.data.shape).copy(),),
     )
 
@@ -314,28 +318,21 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ShapeError("concat: need at least one input")
     datas = [t.data for t in tensors]
-    base = list(datas[0].shape)
+    base = datas[0].shape
+    ax = axis % len(base) if base else 0
+    before, after = base[:ax], base[ax + 1 :]
     for d in datas[1:]:
-        other = list(d.shape)
-        if len(other) != len(base) or any(
-            i != axis % len(base) and other[i] != base[i] for i in range(len(base))
-        ):
+        other = d.shape
+        if len(other) != len(base) or other[:ax] != before or other[ax + 1 :] != after:
             raise ShapeError(f"concat: incompatible shapes {[d.shape for d in datas]} along axis {axis}")
     out = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_vjp(i: int):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def vjp(g):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            return g[tuple(index)]
-
-        return vjp
-
-    return _make(out, "concat", tuple(tensors), tuple(make_vjp(i) for i in range(len(datas))))
+    lead = (slice(None),) * ax
+    vjps, lo = [], 0
+    for d in datas:
+        hi = lo + d.shape[axis]
+        vjps.append(lambda g, index=lead + (slice(lo, hi),): g[index])
+        lo = hi
+    return _make(out, "concat", tuple(tensors), tuple(vjps))
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -369,7 +366,9 @@ def gather_rows(a: Tensor, index: Array) -> Tensor:
         or (index.size and not 0 <= index.min() <= index.max() < shape[0])
     ):
         raise ShapeError(f"gather_rows: index {index.shape} ({index.dtype}) does not pick rows of {shape}")
-    if index.size == shape[0] and np.array_equal(index.reshape(-1), np.arange(index.size)):
+    flat = index.reshape(-1)
+    # n rows within [0, n) in strictly increasing order can only be 0..n-1.
+    if index.size == shape[0] and (flat[1:] > flat[:-1]).all():
         return _make(a.data.reshape(index.shape + shape[1:]), "gather_rows", (a,), (lambda g: g.reshape(shape),))
 
     def vjp(g):
@@ -491,22 +490,26 @@ def gru_scan(xp: Tensor, U: Tensor, h0: Tensor) -> Tensor:
     B, n, _ = xd.shape
     H = Ud.shape[1]
     U_zr, U_c = Ud[: 2 * H], Ud[2 * H :]
-    zr = np.empty((B, n, 2 * H))  # gate values, saved for the sweep
-    c = np.empty((B, n, H))
+    U_zrT, U_cT = U_zr.T, U_c.T
+    # Gate values, saved for the sweep, are time-major: each step's GEMMs
+    # write into one contiguous block.  Floating-point addition commutes, so
+    # adding the input projection onto the GEMM output keeps every bit.
+    zr = np.empty((n, B, 2 * H))
+    c = np.empty((n, B, H))
     hs = np.empty((B, n, H))
     h = hd
     for t in range(n):
-        a = zr[:, t]
-        np.add(xd[:, t, : 2 * H], h @ U_zr.T, out=a)
+        a, c_t, h_t = zr[t], c[t], hs[:, t]
+        np.matmul(h, U_zrT, out=a)
+        a += xd[:, t, : 2 * H]
         a *= 0.5
         np.tanh(a, out=a)
         a += 1.0
         a *= 0.5
         z, r = a[:, :H], a[:, H:]
-        c_t = c[:, t]
-        np.add(xd[:, t, 2 * H :], (r * h) @ U_c.T, out=c_t)
+        np.matmul(r * h, U_cT, out=c_t)
+        c_t += xd[:, t, 2 * H :]
         np.tanh(c_t, out=c_t)
-        h_t = hs[:, t]
         np.multiply(1.0 - z, h, out=h_t)
         h_t += z * c_t
         h = h_t
@@ -518,8 +521,8 @@ def gru_scan(xp: Tensor, U: Tensor, h0: Tensor) -> Tensor:
             dh = np.zeros((B, H))
             for t in reversed(range(n)):
                 dh += g[:, t]
-                z, r = zr[:, t, :H], zr[:, t, H:]
-                c_t, hp = c[:, t], (hs[:, t - 1] if t else hd)
+                z, r = zr[t, :, :H], zr[t, :, H:]
+                c_t, hp = c[t], (hs[:, t - 1] if t else hd)
                 d = dxp[:, t]
                 np.multiply(dh * z, 1.0 - c_t * c_t, out=d[:, 2 * H :])
                 drh = d[:, 2 * H :] @ U_c
@@ -537,7 +540,7 @@ def gru_scan(xp: Tensor, U: Tensor, h0: Tensor) -> Tensor:
     def vjp_U(g):
         rows = sweep(g)[0].reshape(B * n, 3 * H)
         h_prev = np.concatenate((hd[:, None], hs[:, :-1]), axis=1)
-        rh = (zr[:, :, H:] * h_prev).reshape(B * n, H)
+        rh = (zr[:, :, H:].transpose(1, 0, 2) * h_prev).reshape(B * n, H)
         dU = np.empty_like(Ud)
         np.matmul(rows[:, : 2 * H].T, h_prev.reshape(B * n, H), out=dU[: 2 * H])
         np.matmul(rows[:, 2 * H :].T, rh, out=dU[2 * H :])

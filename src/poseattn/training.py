@@ -267,7 +267,11 @@ def evaluate(
     chunk: int = EVAL_CHUNK,
 ) -> float:
     """Top-1 accuracy under the fixed multi-window protocol."""
-    logits = predict_logits(streams, prepared, ids, clip_len, chunk=chunk)
+    return accuracy(predict_logits(streams, prepared, ids, clip_len, chunk=chunk), prepared, ids)
+
+
+def accuracy(logits: np.ndarray, prepared: dict[str, PreparedSequence], ids: list[str]) -> float:
+    """Top-1 accuracy of sequence logits (one row per id, in order)."""
     labels = np.array([prepared[i].label for i in ids])
     return float((logits.argmax(axis=1) == labels).mean())
 

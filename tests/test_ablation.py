@@ -146,6 +146,31 @@ def test_two_stream_mode_fuses_with_shared_pose(tiny_dataset_path, tmp_path, mon
     assert loads == [tiny_dataset_path]  # serial cells, fusion and dumps share one load
 
 
+def test_two_stream_grid_scores_the_pose_stream_once_per_split(tiny_dataset_path, tmp_path, monkeypatch):
+    from poseattn.model import PoseStream
+
+    pose_scored = []  # split ids of every predict_logits call that runs a pose stream
+    real = training.predict_logits
+
+    def counting(streams, prepared, ids, clip_len, chunk=training.EVAL_CHUNK):
+        if any(isinstance(s, PoseStream) for s in streams):
+            pose_scored.append(tuple(ids))
+        return real(streams, prepared, ids, clip_len, chunk=chunk)
+
+    for module in (ablation, training):
+        monkeypatch.setattr(module, "predict_logits", counting, raising=False)
+    base = base_config(tiny_dataset_path)
+    results = run_ablation(
+        base, seeds=[0], out_dir=tmp_path / "grid", rows=["sum", "ta"],
+        two_stream=True, attention_dumps=False,
+    )
+    assert [c.status for c in results] == ["ok", "ok"]
+    manifest = training.load_dataset(tiny_dataset_path).manifest
+    for split in ablation.TEST_SPLITS:
+        # Once by the pose run's own test evaluation, once for the fusion of both rows.
+        assert pose_scored.count(tuple(manifest.split_ids(split))) == 2, split
+
+
 def test_mean_accuracies_and_table_formatting():
     results = [
         CellResult(row="sum", seed=0, status="ok", acc={"test_seeds": 0.5, "test_pool": 0.3}),

@@ -163,6 +163,20 @@ def test_out_of_range_config_is_usage_error(dataset_path, tmp_path, capsys, flag
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--eps", "0.1"), ("--eps", "nan"), ("--tol", "0"), ("--tol", "nan"), ("--seed", "-1")],
+)
+def test_bad_gradcheck_flag_is_usage_error_before_any_cell(monkeypatch, capsys, flag, value):
+    import poseattn.cli
+
+    ran = []
+    monkeypatch.setattr(poseattn.cli, "run_gradcheck", lambda *a, **kw: ran.append(a) or [])
+    assert main(["gradcheck", flag, value]) == 1
+    assert flag in capsys.readouterr().err
+    assert not ran
+
+
 def test_data_error_exit_code_2(tmp_path):
     assert main(["train", "--dataset", str(tmp_path / "missing.bin")]) == 2
     bad = tmp_path / "bad.bin"

@@ -7,6 +7,7 @@ import pytest
 from poseattn import tensor as T
 from poseattn import verify
 from poseattn.gradcheck import GradCheckResult, grad_check_params
+from poseattn.nn import AdamState, adam_step
 from poseattn.tensor import GraphError, NumericError, ShapeError, Tape, Tensor
 
 
@@ -163,6 +164,28 @@ def test_non_finite_creation_rejected():
 def test_non_finite_op_output_rejected():
     with pytest.raises(NumericError, match="log"):
         T.log(Tensor([-1.0]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_finiteness_contract_rejects_each_non_finite_value(value):
+    # Every primitive hands its output to _make, which names the op.
+    with pytest.raises(NumericError, match="some_op"):
+        T._make(np.array([1.0, value]), "some_op", (), ())
+    with pytest.raises(NumericError):
+        Tensor(np.array([1.0, value]))
+    params = {"head.b": Tensor(np.zeros(2), requires_grad=True)}
+    with pytest.raises(NumericError, match="head.b"):
+        adam_step(AdamState(), params, {"head.b": np.array([1.0, value])})
+
+
+def test_finite_values_whose_sum_overflows_pass_every_check():
+    big = np.array([1e308, 1e308])  # finite, though big.sum() is inf
+    assert np.array_equal(T.scale(Tensor(big), 1.0).data, big)
+    assert np.array_equal(Tensor(big).data, big)
+    params = {"w": Tensor(np.zeros(2), requires_grad=True)}
+    with np.errstate(over="ignore"):
+        adam_step(AdamState(), params, {"w": big})
+    assert np.isfinite(params["w"].data).all()
 
 
 def test_leading_axis_broadcast_only():
