@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .ablation import GRID_ROWS, format_table, run_ablation
-from .data import DatasetError, dataset_content_hash, export_manifest_json, load_dataset, save_dataset
+from .data import DatasetError, export_manifest_json, load_dataset, save_dataset
 from .gradcheck import EPS_RANGE
 from .synth import SyntheticSpec, generate
 from .tensor import GraphError, NumericError, ShapeError
@@ -134,7 +134,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(out, dataset)
     if args.manifest_out:
-        export_manifest_json(out, _out_path(args.manifest_out))
+        export_manifest_json(dataset.manifest, _out_path(args.manifest_out))
     counts = {s: len(dataset.manifest.split_ids(s)) for s in ("train", "val", "test_seeds", "test_pool")}
     print(f"wrote {out} ({counts})")
     return EXIT_OK
@@ -164,7 +164,7 @@ def _load_for_eval(args: argparse.Namespace):
             f"checkpoint feature dim {dims.feat_dim} != dataset {dataset.manifest.feature_dim}"
         )
     trained_on = next(iter(streams.values()))["dataset_hash"]
-    given = dataset_content_hash(args.dataset)
+    given = dataset.content_hash
     if trained_on != given and not args.allow_other_dataset:
         raise DatasetError(
             f"checkpoint {args.checkpoint} was trained on dataset hash {trained_on or '(none recorded)'}, "

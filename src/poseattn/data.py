@@ -1,10 +1,12 @@
 """Binary dataset container: versioned manifest header plus per-sequence blocks.
 
-Layout (little-endian): 8-byte magic, u64 manifest length, UTF-8 JSON
-manifest, then the payload region.  Each record block packs, in order:
-joints3d f32, hands2d f32, subject flags u8, label i32, optional per-hand
-features f32, optional ground-truth attention targets i32.  Storage is f32;
-compute is f64.  Round-trips are bitwise.
+Layout, format 2 (little-endian): 8-byte magic, u64 manifest length, UTF-8
+JSON manifest, then one block per manifest record, in manifest order, with
+nothing after the last.  Each block packs, in order: joints3d f32 (T, 2, J,
+3), subject flags u8 (2,), label i32, then per-hand features f32 (T, 4, D),
+ground-truth attention slots i32 (T,) and window i32 (2,) when the manifest
+flags say so.  The manifest gives each block's byte size and CRC32.  Storage
+is f32; compute is f64.  Round-trips are bitwise.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 from .pose import PoseSequence
 
 MAGIC = b"POSEDS01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 SPLITS = ("train", "val", "test_seeds", "test_pool")
 
@@ -36,11 +38,15 @@ class VersionError(DatasetError):
 
 
 class TruncationError(DatasetError):
-    """A record block extends past the end of the file."""
+    """The file ends inside the header or a record block."""
 
 
 class ChecksumError(DatasetError):
-    """A record block's CRC32 does not match its manifest entry."""
+    """A record block's CRC32 or label does not match its manifest entry."""
+
+
+class ManifestError(DatasetError):
+    """The manifest header is not JSON, lacks a field, or sizes a block wrongly."""
 
 
 @dataclass
@@ -50,7 +56,6 @@ class SequenceRecord:
     split: str
     subjects: int
     n_frames: int
-    offset: int = 0
     nbytes: int = 0
     crc32: int = 0
 
@@ -61,7 +66,6 @@ class SequenceRecord:
             "split": self.split,
             "subjects": self.subjects,
             "n_frames": self.n_frames,
-            "offset": self.offset,
             "nbytes": self.nbytes,
             "crc32": self.crc32,
         }
@@ -74,7 +78,6 @@ class SequenceRecord:
             split=d["split"],
             subjects=int(d["subjects"]),
             n_frames=int(d["n_frames"]),
-            offset=int(d["offset"]),
             nbytes=int(d["nbytes"]),
             crc32=int(d["crc32"]),
         )
@@ -101,12 +104,6 @@ class DatasetManifest:
     def split_ids(self, split: str) -> list[str]:
         return [r.seq_id for r in self.records if r.split == split]
 
-    def record(self, seq_id: str) -> SequenceRecord:
-        for r in self.records:
-            if r.seq_id == seq_id:
-                return r
-        raise KeyError(seq_id)
-
     def to_json(self) -> dict:
         return {
             "format_version": self.format_version,
@@ -123,10 +120,14 @@ class DatasetManifest:
 
     @classmethod
     def from_json(cls, d: dict) -> "DatasetManifest":
-        if d.get("format_version") != FORMAT_VERSION:
+        version = d.get("format_version")
+        if version == 1:
             raise VersionError(
-                f"manifest format version {d.get('format_version')} != supported {FORMAT_VERSION}"
+                "format version 1 is no longer read: format 2 drops record offsets and hands2d; "
+                "regenerate the file with `poseattn synth`"
             )
+        if version != FORMAT_VERSION:
+            raise VersionError(f"manifest format version {version} != supported {FORMAT_VERSION}")
         return cls(
             n_classes=int(d["n_classes"]),
             feature_dim=int(d["feature_dim"]),
@@ -154,6 +155,7 @@ class SequenceData:
 class Dataset:
     manifest: DatasetManifest
     sequences: dict[str, SequenceData]
+    content_hash: str = ""  # sha256 of the file it was loaded from; "" when built in memory
 
     def split_items(self, split: str) -> list[tuple[SequenceRecord, SequenceData]]:
         return [(r, self.sequences[r.seq_id]) for r in self.manifest.records if r.split == split]
@@ -164,7 +166,6 @@ def _encode_record(manifest: DatasetManifest, record: SequenceRecord, data: Sequ
     j = manifest.n_joints
     parts = [
         np.ascontiguousarray(data.seq.joints3d, dtype="<f4").tobytes(),
-        np.ascontiguousarray(data.seq.hands2d, dtype="<f4").tobytes(),
         np.ascontiguousarray(data.seq.subject_present, dtype=np.uint8).tobytes(),
         np.int32(record.label).astype("<i4").tobytes(),
     ]
@@ -190,7 +191,17 @@ def _encode_record(manifest: DatasetManifest, record: SequenceRecord, data: Sequ
     return b"".join(parts)
 
 
-def _decode_record(manifest: DatasetManifest, record: SequenceRecord, blob: bytes) -> SequenceData:
+def _record_nbytes(manifest: DatasetManifest, n_frames: int) -> int:
+    """The size of a block of ``n_frames`` frames under the manifest's flags."""
+    per_frame = 4 * 2 * manifest.n_joints * 3
+    per_frame += 4 * 4 * manifest.feature_dim if manifest.has_features else 0
+    per_frame += 4 if manifest.has_gt_slot else 0
+    return n_frames * per_frame + 2 + 4 + (8 if manifest.has_gt_window else 0)
+
+
+def _decode_record(
+    path: str | Path, manifest: DatasetManifest, record: SequenceRecord, blob: bytes
+) -> SequenceData:
     t = record.n_frames
     j = manifest.n_joints
     pos = 0
@@ -202,20 +213,13 @@ def _decode_record(manifest: DatasetManifest, record: SequenceRecord, blob: byte
         return arr
 
     joints = take(t * 2 * j * 3, "<f4").reshape(t, 2, j, 3).astype(np.float64)
-    hands = take(t * 4 * 2, "<f4").reshape(t, 4, 2).astype(np.float64)
     present = take(2, np.uint8).astype(bool)
     label = int(take(1, "<i4")[0])
     if label != record.label:
         raise ChecksumError(
-            f"record {record.seq_id}: payload label {label} != manifest label {record.label}"
+            f"{path}: record {record.seq_id}: payload label {label} != manifest label {record.label}"
         )
-    seq = PoseSequence(
-        joints3d=joints,
-        hands2d=hands,
-        subject_present=present,
-        label=label,
-        seq_id=record.seq_id,
-    )
+    seq = PoseSequence(joints3d=joints, subject_present=present, label=label, seq_id=record.seq_id)
     features = None
     if manifest.has_features:
         features = take(t * 4 * manifest.feature_dim, "<f4").reshape(t, 4, manifest.feature_dim)
@@ -244,13 +248,10 @@ def replacing(path: str | Path, mode: str = "w") -> Iterator[IO]:
 def save_dataset(path: str | Path, dataset: Dataset) -> None:
     manifest = dataset.manifest
     blobs: list[bytes] = []
-    offset = 0
     for record in manifest.records:
         blob = _encode_record(manifest, record, dataset.sequences[record.seq_id])
-        record.offset = offset
         record.nbytes = len(blob)
         record.crc32 = zlib.crc32(blob)
-        offset += len(blob)
         blobs.append(blob)
     header = json.dumps(manifest.to_json(), sort_keys=True).encode()
     with replacing(path, "wb") as f:
@@ -261,53 +262,64 @@ def save_dataset(path: str | Path, dataset: Dataset) -> None:
             f.write(blob)
 
 
-def load_manifest(path: str | Path) -> tuple[DatasetManifest, int]:
-    """Read the manifest; returns it plus the byte offset of the payload region."""
-    with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise VersionError(f"bad magic {magic!r}; not a dataset file or wrong version")
-        raw = f.read(8)
-        if len(raw) < 8:
-            raise TruncationError("file ends inside the manifest length field")
-        header_len = int.from_bytes(raw, "little")
-        header = f.read(header_len)
-        if len(header) < header_len:
-            raise TruncationError("file ends inside the manifest header")
-        manifest = DatasetManifest.from_json(json.loads(header.decode()))
-        return manifest, len(MAGIC) + 8 + header_len
-
-
-def read_record(
-    path: str | Path, manifest: DatasetManifest, payload_offset: int, record: SequenceRecord
-) -> SequenceData:
-    with open(path, "rb") as f:
-        f.seek(payload_offset + record.offset)
-        blob = f.read(record.nbytes)
-    if len(blob) < record.nbytes:
-        raise TruncationError(
-            f"record {record.seq_id}: expected {record.nbytes} bytes, file truncated"
-        )
-    if zlib.crc32(blob) != record.crc32:
-        raise ChecksumError(f"record {record.seq_id}: checksum mismatch")
-    return _decode_record(manifest, record, blob)
+def _parse_manifest(path: str | Path, header: bytes) -> DatasetManifest:
+    try:
+        return DatasetManifest.from_json(json.loads(header))
+    except DatasetError as e:  # wrong version or duplicate ids
+        raise type(e)(f"{path}: {e}") from None
+    except KeyError as e:
+        raise ManifestError(f"{path}: manifest field {e} is missing") from None
+    except (AttributeError, TypeError, ValueError) as e:  # not JSON, or a field of the wrong type
+        raise ManifestError(f"{path}: bad manifest header: {type(e).__name__}: {e}") from None
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    manifest, payload_offset = load_manifest(path)
-    sequences = {
-        r.seq_id: read_record(path, manifest, payload_offset, r) for r in manifest.records
-    }
-    return Dataset(manifest=manifest, sequences=sequences)
+    """Read, check and decode a dataset file in one sequential pass.
+
+    Every byte read also feeds one sha256, so ``content_hash`` is the digest
+    of exactly the bytes decoded.  At most one record block is held at a time.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            if n > size - f.tell():
+                raise TruncationError(f"{path}: file ends inside {what}")
+            blob = f.read(n)
+            digest.update(blob)
+            return blob
+
+        magic = read(len(MAGIC), "the magic")
+        if magic != MAGIC:
+            raise VersionError(f"{path}: bad magic {magic!r}; not a dataset file")
+        header_len = int.from_bytes(read(8, "the manifest length field"), "little")
+        manifest = _parse_manifest(path, read(header_len, "the manifest header"))
+        sequences = {}
+        for record in manifest.records:
+            expected = _record_nbytes(manifest, record.n_frames)
+            if record.nbytes != expected:
+                raise ManifestError(
+                    f"{path}: record {record.seq_id}: stored nbytes {record.nbytes} != {expected} "
+                    f"expected from n_frames {record.n_frames} and the manifest flags"
+                )
+            blob = read(record.nbytes, f"record {record.seq_id}")
+            if zlib.crc32(blob) != record.crc32:
+                raise ChecksumError(f"{path}: record {record.seq_id}: checksum mismatch")
+            sequences[record.seq_id] = _decode_record(path, manifest, record, blob)
+        if f.tell() != size:
+            raise DatasetError(f"{path}: {size - f.tell()} trailing bytes after the last record")
+    return Dataset(manifest=manifest, sequences=sequences, content_hash=digest.hexdigest())
 
 
-def export_manifest_json(path: str | Path, out_path: str | Path) -> None:
-    manifest, _ = load_manifest(path)
+def export_manifest_json(manifest: DatasetManifest, out_path: str | Path) -> None:
     with replacing(out_path) as f:
         f.write(json.dumps(manifest.to_json(), indent=2, sort_keys=True))
 
 
 def dataset_content_hash(path: str | Path) -> str:
+    """The sha256 of a file, read on its own; ``load_dataset`` computes the same
+    digest as it decodes."""
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):

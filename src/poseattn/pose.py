@@ -19,26 +19,21 @@ class MissingSubjectError(ValueError):
 
 @dataclass
 class PoseSequence:
-    """Per-frame 3D joints for up to two subjects plus 2D hand pixels.
+    """Per-frame 3D joints for up to two subjects.
 
     joints3d: (T, 2, J, 3) meters; an absent subject is all-zero and flagged.
-    hands2d: (T, 4, 2) pixel (u, v) per hand slot (left1, right1, left2, right2).
     """
 
     joints3d: np.ndarray
-    hands2d: np.ndarray
     subject_present: np.ndarray  # (2,) bool
     label: int
     seq_id: str = ""
 
     def __post_init__(self) -> None:
         self.joints3d = np.asarray(self.joints3d, dtype=np.float64)
-        self.hands2d = np.asarray(self.hands2d, dtype=np.float64)
         self.subject_present = np.asarray(self.subject_present, dtype=bool)
         if self.joints3d.ndim != 4 or self.joints3d.shape[1] != 2 or self.joints3d.shape[3] != 3:
             raise ValueError(f"joints3d must be (T, 2, J, 3), got {self.joints3d.shape}")
-        if self.hands2d.shape != (self.joints3d.shape[0], 4, 2):
-            raise ValueError(f"hands2d must be (T, 4, 2), got {self.hands2d.shape}")
 
     @property
     def n_frames(self) -> int:

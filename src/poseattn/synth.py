@@ -219,14 +219,6 @@ def _base_pose(rng: np.random.Generator, length: int) -> np.ndarray:
     return joints
 
 
-def _hands2d(length: int, rng: np.random.Generator) -> np.ndarray:
-    hands = np.zeros((length, 4, 2))
-    for slot in range(4):
-        hands[:, slot, 0] = 300.0 + 250.0 * slot + rng.uniform(-20, 20)
-        hands[:, slot, 1] = 500.0 + rng.uniform(-20, 20)
-    return hands
-
-
 def _apply_group_motion(joints: np.ndarray, slot: int, path: np.ndarray, coord: int = 0) -> None:
     subject = SLOT_SUBJECT[slot]
     for j in SLOT_JOINTS[slot]:
@@ -353,11 +345,13 @@ def _gen_sequence(
             frame = frame + spec.noise * rng.normal(size=(4, D))
         feats[t] = frame
 
+    # Draw the 8 hand-pixel values that dataset format 1 stored, so that
+    # every later draw, and so every generated array, stays as it was.
+    rng.random(8)
     # Quantize to storage precision so the in-memory dataset equals its
     # save/load round-trip bitwise.
     seq = PoseSequence(
         joints3d=joints.astype(np.float32).astype(np.float64),
-        hands2d=_hands2d(L, rng).astype(np.float32).astype(np.float64),
         subject_present=np.array([True, True]),
         label=y,
         seq_id=seq_id,

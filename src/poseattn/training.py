@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, DatasetError, dataset_content_hash, load_dataset, replacing
+from .data import Dataset, DatasetError, load_dataset, replacing
 from .model import CONDITIONINGS, PoseStream, RgbStream, WindowBatch, fuse_logits
 from .nn import AdamState, adam_step, collect_grads, zero_grads
 from .pose import (
@@ -408,7 +408,6 @@ class TrainResult:
     streams: dict[str, TrainedStream]
     prepared: dict[str, PreparedSequence]
     dataset: Dataset
-    dataset_hash: str
     test_acc: dict[str, float] = field(default_factory=dict)
 
     def stream_models(self) -> list:
@@ -418,13 +417,13 @@ class TrainResult:
 def run_train(config: RunConfig, dataset: Dataset | None = None) -> TrainResult:
     """Train the configured variant end to end and evaluate on the test splits.
 
-    Writes config, dataset hash, per-epoch metrics, results, and the best
-    checkpoint into ``config.out_dir`` when it is set.  On a numeric failure
+    Writes config, dataset hash (``dataset.content_hash``: of the bytes
+    loaded, "" for a dataset built in memory), per-epoch metrics, results,
+    and the best checkpoint into ``config.out_dir`` when it is set.  On a numeric failure
     the best checkpoint so far is preserved before the error propagates.
     """
     if dataset is None:
         dataset = load_dataset(config.dataset)
-    ds_hash = dataset_content_hash(config.dataset) if config.dataset else ""
     dims = ModelDims.from_dataset(dataset, config)
     prepared = prepare_sequences(dataset)
     train_ids = dataset.manifest.split_ids("train")
@@ -434,16 +433,14 @@ def run_train(config: RunConfig, dataset: Dataset | None = None) -> TrainResult:
 
     wanted = {"rgb": config.variant in ("rgb", "two_stream"), "pose": config.variant in ("pose", "two_stream")}
 
-    result = TrainResult(
-        config=config, streams={}, prepared=prepared, dataset=dataset, dataset_hash=ds_hash
-    )
+    result = TrainResult(config=config, streams={}, prepared=prepared, dataset=dataset)
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         with replacing(out_dir / "config.json") as f:
             f.write(json.dumps(config.to_json(), indent=2, sort_keys=True))
         with replacing(out_dir / "dataset_hash.txt") as f:
-            f.write(ds_hash + "\n")
+            f.write(dataset.content_hash + "\n")
 
     t0 = time.monotonic()
     try:
@@ -536,7 +533,7 @@ def save_checkpoint(
             "partial": partial,
             "config": config.to_json(),
             "dims": dataclasses.asdict(dims),
-            "dataset_hash": result.dataset_hash,
+            "dataset_hash": result.dataset.content_hash,
             "streams": {
                 name: {
                     "params": sorted(params),

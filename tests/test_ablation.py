@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import io
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from poseattn.ablation import (
     mean_accuracies,
     run_ablation,
 )
-from poseattn.data import save_dataset
+from poseattn.data import dataset_content_hash, load_dataset, save_dataset
 from poseattn.synth import SyntheticSpec, generate
 from poseattn.training import RunConfig
 
@@ -216,6 +217,31 @@ def _disk_full_on(monkeypatch, name: str) -> None:
 
     monkeypatch.setattr(builtins, "open", failing_open)
     monkeypatch.setattr(io, "open", failing_open)
+
+
+def test_grid_records_the_hash_of_the_bytes_it_trained_on(tiny_dataset_path, tmp_path, monkeypatch):
+    path = tmp_path / "combined.bin"
+    shutil.copyfile(tiny_dataset_path, path)
+    original = dataset_content_hash(path)
+    assert load_dataset(path).content_hash == original
+    other = generate(SyntheticSpec(kind="combined", seed=1, counts=(40, 10, 10)))
+    real_run_train = ablation.run_train
+
+    def run_train_then_rewrite(config, dataset=None):
+        result = real_run_train(config, dataset=dataset)
+        save_dataset(path, other)  # the file changes under the grid, between its cells
+        return result
+
+    monkeypatch.setattr(ablation, "run_train", run_train_then_rewrite)
+    out = tmp_path / "grid"
+    run_ablation(
+        base_config(str(path)), seeds=[0], out_dir=out, rows=["sum", "concat"],
+        two_stream=True, attention_dumps=False,
+    )
+    assert dataset_content_hash(path) != original
+    hashes = {p.parent.name: p.read_text().strip() for p in out.glob("*/dataset_hash.txt")}
+    assert sorted(hashes) == ["concat-seed0", "pose-seed0", "sum-seed0"]
+    assert set(hashes.values()) == {original}
 
 
 def test_failed_write_keeps_the_previous_metrics_and_grid(tiny_dataset_path, tmp_path, monkeypatch):

@@ -1,13 +1,17 @@
 import json
+import re
+import zlib
 
 import numpy as np
 import pytest
 
 from poseattn.data import (
+    MAGIC,
     ChecksumError,
     Dataset,
     DatasetError,
     DatasetManifest,
+    ManifestError,
     SequenceData,
     SequenceRecord,
     TruncationError,
@@ -16,8 +20,6 @@ from poseattn.data import (
     dataset_content_hash,
     export_manifest_json,
     load_dataset,
-    load_manifest,
-    read_record,
     save_dataset,
 )
 from poseattn.pose import PoseSequence
@@ -31,7 +33,6 @@ def tiny_dataset(n=4, t=5, j=3, d=4, with_gt=True):
         label = i % 2
         seq = PoseSequence(
             joints3d=rng.normal(size=(t, 2, j, 3)).astype(np.float32).astype(np.float64),
-            hands2d=rng.normal(size=(t, 4, 2)).astype(np.float32).astype(np.float64),
             subject_present=np.array([True, i % 2 == 0]),
             label=label,
             seq_id=seq_id,
@@ -68,7 +69,6 @@ def test_round_trip_is_bitwise(tmp_path):
     for rec in ds.manifest.records:
         a, b = ds.sequences[rec.seq_id], back.sequences[rec.seq_id]
         assert np.array_equal(a.seq.joints3d, b.seq.joints3d)
-        assert np.array_equal(a.seq.hands2d, b.seq.hands2d)
         assert np.array_equal(a.seq.subject_present, b.seq.subject_present)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.gt_slot, b.gt_slot)
@@ -77,37 +77,134 @@ def test_round_trip_is_bitwise(tmp_path):
     path2 = tmp_path / "tiny2.bin"
     save_dataset(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+    assert back.content_hash == dataset_content_hash(path)
+    assert ds.content_hash == ""
+
+
+def saved(tmp_path):
+    path = tmp_path / "tiny.bin"
+    save_dataset(path, tiny_dataset())
+    return path
+
+
+def split_file(path):
+    """(manifest dict, payload bytes) of a saved dataset file."""
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    return json.loads(blob[16 : 16 + n]), blob[16 + n :]
+
+
+def write_file(path, manifest, payload):
+    header = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header + payload)
+
+
+def rewrite_manifest(path, edit):
+    manifest, payload = split_file(path)
+    edit(manifest)
+    write_file(path, manifest, payload)
 
 
 def test_truncation_names_failing_record(tmp_path):
-    ds = tiny_dataset()
-    path = tmp_path / "tiny.bin"
-    save_dataset(path, ds)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-10])
-    manifest, payload = load_manifest(path)
-    last = manifest.records[-1]
-    with pytest.raises(TruncationError, match=last.seq_id):
-        read_record(path, manifest, payload, last)
+    path = saved(tmp_path)
+    path.write_bytes(path.read_bytes()[:-10])
+    with pytest.raises(TruncationError, match=f"{re.escape(str(path))}: file ends inside record seq-003"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "keep, where", [(12, "the manifest length field"), (40, "the manifest header")]
+)
+def test_truncated_header_names_the_file(tmp_path, keep, where):
+    path = saved(tmp_path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(TruncationError, match=f"{re.escape(str(path))}: file ends inside {where}"):
+        load_dataset(path)
 
 
 def test_checksum_failure_detected(tmp_path):
-    ds = tiny_dataset()
-    path = tmp_path / "tiny.bin"
-    save_dataset(path, ds)
+    path = saved(tmp_path)
     blob = bytearray(path.read_bytes())
     blob[-3] ^= 0xFF
     path.write_bytes(bytes(blob))
-    manifest, payload = load_manifest(path)
-    with pytest.raises(ChecksumError, match=manifest.records[-1].seq_id):
-        read_record(path, manifest, payload, manifest.records[-1])
+    with pytest.raises(ChecksumError, match=f"{re.escape(str(path))}: record seq-003: checksum"):
+        load_dataset(path)
 
 
 def test_bad_magic_is_version_error(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTADATA" + b"\x00" * 32)
-    with pytest.raises(VersionError):
-        load_manifest(path)
+    path = saved(tmp_path)
+    path.write_bytes(b"NOTADATA" + path.read_bytes()[8:])
+    with pytest.raises(VersionError, match=f"{re.escape(str(path))}: bad magic"):
+        load_dataset(path)
+
+
+def test_header_that_is_not_json_names_the_file(tmp_path):
+    path = saved(tmp_path)
+    blob = bytearray(path.read_bytes())
+    blob[16] = ord("#")  # the manifest's opening brace
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ManifestError, match=f"{re.escape(str(path))}: bad manifest header"):
+        load_dataset(path)
+
+
+def test_missing_manifest_field_names_the_file_and_field(tmp_path):
+    path = saved(tmp_path)
+    rewrite_manifest(path, lambda m: m.pop("n_classes"))
+    with pytest.raises(ManifestError, match=f"{re.escape(str(path))}: manifest field 'n_classes' is missing"):
+        load_dataset(path)
+
+
+def test_frame_count_that_disagrees_with_the_block_size(tmp_path):
+    path = saved(tmp_path)
+    nbytes = split_file(path)[0]["records"][0]["nbytes"]
+
+    def more_frames(m):
+        m["records"][0]["n_frames"] += 1
+
+    rewrite_manifest(path, more_frames)
+    # 5 frames of 3 joints, 4-dim features, gt slot and window: 5 * 140 + 14 bytes.
+    assert nbytes == 714
+    with pytest.raises(
+        ManifestError, match=f"{re.escape(str(path))}: record seq-000: stored nbytes 714 != 854 expected"
+    ):
+        load_dataset(path)
+
+
+def test_trailing_bytes_name_the_file(tmp_path):
+    path = saved(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(DatasetError, match=f"{re.escape(str(path))}: 1 trailing bytes"):
+        load_dataset(path)
+
+
+def write_version_1(path, ds):
+    """The file format 1 wrote: a hands2d block (T, 4, 2) f32 after the joints
+    of each record, and each record's payload offset in the manifest."""
+    save_dataset(path, ds)
+    manifest, payload = split_file(path)
+    manifest["format_version"] = 1
+    blocks, pos, offset = [], 0, 0
+    for rec in manifest["records"]:
+        block = payload[pos : pos + rec["nbytes"]]
+        pos += rec["nbytes"]
+        joints = rec["n_frames"] * 2 * manifest["n_joints"] * 3 * 4
+        hands = np.zeros((rec["n_frames"], 4, 2), dtype="<f4").tobytes()
+        block = block[:joints] + hands + block[joints:]
+        rec.update(offset=offset, nbytes=len(block), crc32=zlib.crc32(block))
+        offset += len(block)
+        blocks.append(block)
+    write_file(path, manifest, b"".join(blocks))
+
+
+def test_version_1_file_must_be_regenerated(tmp_path):
+    path = tmp_path / "v1.bin"
+    write_version_1(path, tiny_dataset())
+    with pytest.raises(VersionError) as err:
+        load_dataset(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}: format version 1")
+    assert "drops record offsets and hands2d" in message
+    assert "poseattn synth" in message
 
 
 def test_wrong_format_version_rejected(tmp_path):
@@ -131,13 +228,16 @@ def test_duplicate_ids_rejected():
 
 
 def test_manifest_label_payload_consistency(tmp_path):
-    ds = tiny_dataset()
-    path = tmp_path / "tiny.bin"
-    save_dataset(path, ds)
-    manifest, payload = load_manifest(path)
-    manifest.records[0].label = 1 - manifest.records[0].label
-    with pytest.raises(ChecksumError, match="label"):
-        read_record(path, manifest, payload, manifest.records[0])
+    path = saved(tmp_path)
+
+    def flip_label(m):
+        m["records"][0]["label"] = 1 - m["records"][0]["label"]
+
+    rewrite_manifest(path, flip_label)
+    with pytest.raises(
+        ChecksumError, match=f"{re.escape(str(path))}: record seq-000: payload label 0 != manifest label 1"
+    ):
+        load_dataset(path)
 
 
 def test_validation_split_reproducible():
@@ -161,8 +261,9 @@ def test_manifest_export(tmp_path):
     path = tmp_path / "tiny.bin"
     save_dataset(path, ds)
     out = tmp_path / "manifest.json"
-    export_manifest_json(path, out)
+    export_manifest_json(ds.manifest, out)
     parsed = json.loads(out.read_text())
+    assert parsed == split_file(path)[0]
     assert parsed["n_classes"] == 2
     assert len(parsed["records"]) == 4
 

@@ -14,13 +14,7 @@ from poseattn.pose import (
 
 
 def make_seq(joints, present=(True, True), label=0):
-    t = joints.shape[0]
-    return PoseSequence(
-        joints3d=joints,
-        hands2d=np.zeros((t, 4, 2)),
-        subject_present=np.array(present),
-        label=label,
-    )
+    return PoseSequence(joints3d=joints, subject_present=np.array(present), label=label)
 
 
 def random_seq(rng, t=6, j=5, present=(True, True)):

@@ -6,7 +6,7 @@ import pytest
 
 import poseattn.data
 import poseattn.training as training
-from poseattn.data import DatasetError, load_dataset, save_dataset
+from poseattn.data import DatasetError, dataset_content_hash, load_dataset, save_dataset
 from poseattn.model import CONDITIONINGS, StreamOutput
 from poseattn.pose import eval_window_starts, window_indices
 from poseattn.synth import SyntheticSpec, generate
@@ -233,6 +233,20 @@ class TestTraining:
         assert (out / "metrics.csv").exists()
         assert (out / "result.json").exists()
         assert (out / "timing.json").exists()
+
+    def test_run_train_opens_the_dataset_file_once(self, tiny_dataset_path, tmp_path, monkeypatch):
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(poseattn.data, "open", counting_open, raising=False)
+        out = tmp_path / "run"
+        run_train(tiny_config(tiny_dataset_path, max_epochs=1, out_dir=str(out)))
+        assert opened.count(tiny_dataset_path) == 1
+        digest = (out / "dataset_hash.txt").read_text().strip()
+        assert digest == dataset_content_hash(tiny_dataset_path)
 
 
 class TestCheckpoint:
