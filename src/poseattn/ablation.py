@@ -4,15 +4,19 @@ Nine RGB-stream rows: sum and concat integration baselines, spatial
 attention under three conditionings, temporal attention alone (over sum
 integration), and the three spatio-temporal combinations.  Every cell
 trains with the same budget and per-seed identical initial conditions and
-is evaluated on the two held-out splits.  In two-stream mode one pose
-stream per seed is shared by every row and fused at the logit level.
+is evaluated on the two held-out splits.  A cell hands back the test logits
+its run computed and writes its attention dump from the stream it trained
+in memory, so the grid reads no checkpoint back.  In two-stream mode one
+pose stream per seed is shared by every row and fused at the logit level:
+each row's logits plus the pose run's, the same sums that scoring both
+streams together gives.
 """
 from __future__ import annotations
 
 import json
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +24,12 @@ import numpy as np
 from .data import Dataset, load_dataset, replacing
 from .model import fuse_logits
 from .training import (
+    TEST_SPLITS,
     ConfigError,
     RunConfig,
+    TrainResult,
     accuracy,
     dump_attention,
-    load_checkpoint,
-    predict_logits,
-    prepare_sequences,
     run_train,
 )
 
@@ -42,8 +45,6 @@ GRID_ROWS: tuple[tuple[str, str, bool], ...] = (
     ("sta_pose", "pose", True),
     ("sta_both", "both", True),
 )
-
-TEST_SPLITS = ("test_seeds", "test_pool")
 
 
 def cell_config(base: RunConfig, row: str, seed: int, out_dir: str | Path | None = None) -> RunConfig:
@@ -69,6 +70,8 @@ class CellResult:
     status: str  # "ok" or "failed: ..."
     acc: dict[str, float]
     trace: str = ""  # traceback of a failed cell
+    # Test logits per split, one row per id; fused with the pose stream's in two-stream mode.
+    logits: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def avg(self) -> float:
@@ -76,14 +79,17 @@ class CellResult:
 
 
 def _run_cell(payload: dict, dataset: Dataset | None = None) -> dict:
-    """Train one grid cell; module-level so a process pool can pickle it.
+    """Train one grid cell and write its attention dump; module-level so a
+    process pool can pickle it.
 
     Pool workers pass no ``dataset`` and load their own copy.
     """
     cell = {"row": payload["row"], "seed": payload["seed"]}
     try:
         result = run_train(RunConfig.from_json(payload["config"]), dataset=dataset)
-        return {**cell, "status": "ok", "acc": result.test_acc}
+        if payload["dumps"]:
+            _write_dumps(result)
+        return {**cell, "status": "ok", "acc": result.test_acc, "logits": result.test_logits}
     except Exception as e:  # a failed cell must not sink the grid
         return {
             **cell,
@@ -110,6 +116,7 @@ def run_ablation(
             "row": row,
             "seed": seed,
             "config": cell_config(base, row, seed, out_dir / f"{row}-seed{seed}").to_json(),
+            "dumps": attention_dumps,
         }
         for row in row_names
         for seed in seeds
@@ -125,9 +132,6 @@ def run_ablation(
 
     if two_stream:
         results = _fuse_with_pose(base, dataset, seeds, out_dir, results)
-
-    if attention_dumps:
-        _write_dumps(base, dataset, out_dir, results)
     _write_grid(out_dir, results, row_names, seeds)
     return results
 
@@ -135,69 +139,50 @@ def run_ablation(
 def _fuse_with_pose(
     base: RunConfig, dataset: Dataset, seeds: list[int], out_dir: Path, results: list[CellResult]
 ) -> list[CellResult]:
-    """Re-score every completed cell fused with one shared pose stream per seed.
+    """Fuse every completed cell with one shared pose stream per seed.
 
-    Each seed's pose stream is scored once per split; each cell adds its own
-    logits to those, as ``predict_logits`` over both streams would.
+    Each seed's pose run scores its stream once per split; each cell adds
+    its own test logits to those, as ``predict_logits`` over both streams would.
     """
-    splits = {split: ids for split in TEST_SPLITS if (ids := dataset.manifest.split_ids(split))}
-    pose_by_seed: dict[int, tuple[dict, dict[str, np.ndarray]]] = {}  # prepared, logits per split
+    pose_by_seed: dict[int, TrainResult] = {}
     for seed in seeds:
         config = replace(
             base, variant="pose", seed=seed, out_dir=str(out_dir / f"pose-seed{seed}")
         )
-        pose_result = run_train(config, dataset=dataset)
-        prepared, pose = pose_result.prepared, pose_result.streams["pose"].stream
-        pose_by_seed[seed] = prepared, {
-            split: predict_logits([pose], prepared, ids, base.clip_len) for split, ids in splits.items()
-        }
+        pose_by_seed[seed] = run_train(config, dataset=dataset)
     fused: list[CellResult] = []
     for cell in results:
         if cell.status != "ok":
             fused.append(cell)
             continue
-        _, _, streams = load_checkpoint(out_dir / f"{cell.row}-seed{cell.seed}" / "checkpoint.bin")
-        rgb = streams["rgb"]["stream"]
-        prepared, pose_logits = pose_by_seed[cell.seed]
+        pose = pose_by_seed[cell.seed]
+        logits = {split: fuse_logits(pose.test_logits[split], rgb) for split, rgb in cell.logits.items()}
         acc = {
-            split: accuracy(
-                fuse_logits(pose_logits[split], predict_logits([rgb], prepared, ids, base.clip_len)),
-                prepared,
-                ids,
-            )
-            for split, ids in splits.items()
+            split: accuracy(split_logits, pose.prepared, dataset.manifest.split_ids(split))
+            for split, split_logits in logits.items()
         }
-        fused.append(CellResult(row=cell.row, seed=cell.seed, status="ok", acc=acc))
+        fused.append(replace(cell, acc=acc, logits=logits))
     return fused
 
 
-def _write_dumps(
-    base: RunConfig, dataset: Dataset, out_dir: Path, results: list[CellResult]
-) -> None:
-    prepared = prepare_sequences(dataset)
-    ids = dataset.manifest.split_ids("test_seeds")[:50]
-    for cell in results:
-        if cell.status != "ok":
-            continue
-        ckpt = out_dir / f"{cell.row}-seed{cell.seed}" / "checkpoint.bin"
-        if not ckpt.exists():
-            continue
-        _, _, streams = load_checkpoint(ckpt)
-        dump_attention(
-            [streams["rgb"]["stream"]],
-            prepared,
-            ids,
-            base.clip_len,
-            out_path=out_dir / f"{cell.row}-seed{cell.seed}" / "attention.jsonl",
-        )
+def _write_dumps(result: TrainResult) -> None:
+    """Attention records of the first 50 ``test_seeds`` sequences, from the
+    RGB stream the cell just trained, into its run directory."""
+    ids = result.dataset.manifest.split_ids("test_seeds")[:50]
+    dump_attention(
+        [result.streams["rgb"].stream],
+        result.prepared,
+        ids,
+        result.config.clip_len,
+        out_path=Path(result.config.out_dir) / "attention.jsonl",
+    )
 
 
 def _write_grid(out_dir: Path, results: list[CellResult], rows: list[str], seeds: list[int]) -> None:
-    lines = ["row,seed,status,acc_test_seeds,acc_test_pool,avg"]
+    lines = ["row,seed,status," + ",".join(f"acc_{split}" for split in TEST_SPLITS) + ",avg"]
     for cell in sorted(results, key=lambda c: (rows.index(c.row), c.seed)):
-        a = cell.acc.get("test_seeds", float("nan"))
-        b = cell.acc.get("test_pool", float("nan"))
-        lines.append(f"{cell.row},{cell.seed},{cell.status},{a!r},{b!r},{cell.avg!r}")
+        accs = ",".join(repr(cell.acc.get(split, float("nan"))) for split in TEST_SPLITS)
+        lines.append(f"{cell.row},{cell.seed},{cell.status},{accs},{cell.avg!r}")
     cells = [
         {"row": c.row, "seed": c.seed, "status": c.status, "acc": c.acc}
         | ({"trace": c.trace} if c.status != "ok" else {})

@@ -185,6 +185,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers {args.workers} must be >= 1")
     base = _config_from_args(args)
     if not base.dataset:
         raise DatasetError("ablate needs --dataset or a config with one")
@@ -226,6 +228,8 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_attention(args: argparse.Namespace) -> int:
+    if args.limit < 0:
+        raise ConfigError(f"--limit {args.limit} must be >= 0 (0 dumps the whole split)")
     config, models, prepared, ids = _load_for_eval(args)
     if args.limit:
         ids = ids[: args.limit]

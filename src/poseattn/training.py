@@ -255,6 +255,8 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 
 
 _STREAM_TAG = {"rgb": 11, "pose": 13}
+# The held-out splits every run is scored on.
+TEST_SPLITS = ("test_seeds", "test_pool")
 # Sequences per eval forward: five windows each in predict_logits, one in dump_attention.
 EVAL_CHUNK = 16
 
@@ -409,13 +411,15 @@ class TrainResult:
     prepared: dict[str, PreparedSequence]
     dataset: Dataset
     test_acc: dict[str, float] = field(default_factory=dict)
+    test_logits: dict[str, np.ndarray] = field(default_factory=dict)  # per split, one row per id
 
     def stream_models(self) -> list:
         return [t.stream for t in self.streams.values()]
 
 
 def run_train(config: RunConfig, dataset: Dataset | None = None) -> TrainResult:
-    """Train the configured variant end to end and evaluate on the test splits.
+    """Train the configured variant end to end and score it on the test splits,
+    keeping each split's logits in ``test_logits``.
 
     Writes config, dataset hash (``dataset.content_hash``: of the bytes
     loaded, "" for a dataset built in memory), per-epoch metrics, results,
@@ -465,10 +469,11 @@ def run_train(config: RunConfig, dataset: Dataset | None = None) -> TrainResult:
     wall = time.monotonic() - t0
 
     models = result.stream_models()
-    for split in ("test_seeds", "test_pool"):
+    for split in TEST_SPLITS:
         ids = dataset.manifest.split_ids(split)
         if ids:
-            result.test_acc[split] = evaluate(models, prepared, ids, config.clip_len)
+            result.test_logits[split] = predict_logits(models, prepared, ids, config.clip_len)
+            result.test_acc[split] = accuracy(result.test_logits[split], prepared, ids)
 
     if out_dir:
         _write_metrics(out_dir / "metrics.csv", result)

@@ -6,6 +6,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import poseattn.ablation as ablation
@@ -118,15 +119,18 @@ def test_parallel_workers_match_sequential(tiny_dataset_path, tmp_path):
     base = base_config(tiny_dataset_path)
     seq = run_ablation(
         base, seeds=[0], out_dir=tmp_path / "seq", rows=["sum", "sa_pose"],
-        attention_dumps=False,
+        attention_dumps=True,
     )
     par = run_ablation(
         base, seeds=[0], out_dir=tmp_path / "par", rows=["sum", "sa_pose"],
-        workers=2, attention_dumps=False,
+        workers=2, attention_dumps=True,
     )
     assert [(c.row, c.seed, c.status, c.acc) for c in seq] == [
         (c.row, c.seed, c.status, c.acc) for c in par
     ]
+    for cell in ("sum-seed0", "sa_pose-seed0"):  # the workers write the dumps
+        dump = (tmp_path / "seq" / cell / "attention.jsonl").read_bytes()
+        assert dump and dump == (tmp_path / "par" / cell / "attention.jsonl").read_bytes(), cell
 
 
 def test_two_stream_mode_fuses_with_shared_pose(tiny_dataset_path, tmp_path, monkeypatch):
@@ -158,18 +162,68 @@ def test_two_stream_grid_scores_the_pose_stream_once_per_split(tiny_dataset_path
             pose_scored.append(tuple(ids))
         return real(streams, prepared, ids, clip_len, chunk=chunk)
 
-    for module in (ablation, training):
+    loaded = []
+    real_load = training.load_checkpoint
+    for module in (ablation, training):  # the module's own name and any imported alias
         monkeypatch.setattr(module, "predict_logits", counting, raising=False)
+        monkeypatch.setattr(
+            module, "load_checkpoint", lambda path: loaded.append(path) or real_load(path), raising=False
+        )
     base = base_config(tiny_dataset_path)
     results = run_ablation(
         base, seeds=[0], out_dir=tmp_path / "grid", rows=["sum", "ta"],
-        two_stream=True, attention_dumps=False,
+        two_stream=True, attention_dumps=True,
     )
     assert [c.status for c in results] == ["ok", "ok"]
     manifest = training.load_dataset(tiny_dataset_path).manifest
     for split in ablation.TEST_SPLITS:
-        # Once by the pose run's own test evaluation, once for the fusion of both rows.
-        assert pose_scored.count(tuple(manifest.split_ids(split))) == 2, split
+        # Only by the pose run's own test evaluation: fusion reuses those logits.
+        assert pose_scored.count(tuple(manifest.split_ids(split))) == 1, split
+    assert loaded == []  # fusion and dumps use the streams held in memory
+
+
+def test_two_stream_grid_fuses_exactly_the_reloaded_streams(tiny_dataset_path, tmp_path):
+    base = base_config(tiny_dataset_path)
+    out = tmp_path / "grid"
+    results = run_ablation(
+        base, seeds=[0], out_dir=out, rows=["sum", "sta_pose"], two_stream=True, attention_dumps=False,
+    )
+    assert [c.status for c in results] == ["ok", "ok"]
+    dataset = load_dataset(tiny_dataset_path)
+    prepared = training.prepare_sequences(dataset)
+    pose = training.load_checkpoint(out / "pose-seed0" / "checkpoint.bin")[2]["pose"]["stream"]
+    for cell in results:
+        rgb = training.load_checkpoint(out / f"{cell.row}-seed0" / "checkpoint.bin")[2]["rgb"]["stream"]
+        assert set(cell.acc) == set(ablation.TEST_SPLITS)
+        for split in ablation.TEST_SPLITS:
+            ids = dataset.manifest.split_ids(split)
+            fused = training.predict_logits([pose, rgb], prepared, ids, base.clip_len)
+            assert np.array_equal(cell.logits[split], fused), (cell.row, split)
+            assert cell.acc[split] == training.accuracy(fused, prepared, ids), (cell.row, split)
+
+
+def test_failed_dump_fails_only_its_cell(tiny_dataset_path, tmp_path, monkeypatch):
+    real = ablation.dump_attention
+
+    def dump_or_raise(streams, prepared, ids, clip_len, out_path=None):
+        if Path(out_path).parent.name == "sa_pose-seed0":
+            raise ValueError("dump went wrong")
+        return real(streams, prepared, ids, clip_len, out_path=out_path)
+
+    monkeypatch.setattr(ablation, "dump_attention", dump_or_raise)
+    out = tmp_path / "grid"
+    results = run_ablation(
+        base_config(tiny_dataset_path), seeds=[0], out_dir=out, rows=["sum", "sa_pose", "ta"],
+        attention_dumps=True,
+    )
+    assert [c.status for c in results] == ["ok", "failed: ValueError: dump went wrong", "ok"]
+    assert [c.row for c in results if (out / f"{c.row}-seed0" / "attention.jsonl").exists()] == ["sum", "ta"]
+    csv = (out / "grid.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in csv[1:]] == [c.status for c in results]
+    cells = json.loads((out / "grid.json").read_text())
+    assert [c["status"] for c in cells] == [c.status for c in results]
+    assert "dump went wrong" in cells[1]["trace"] and "Traceback" in cells[1]["trace"]
+    assert "trace" not in cells[0] and "trace" not in cells[2]
 
 
 def test_mean_accuracies_and_table_formatting():

@@ -102,6 +102,29 @@ def test_bad_grid_cell_fails_before_any_cell_trains(dataset_path, tmp_path, caps
     assert not grid.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_bad_workers_is_usage_error_before_any_file_is_read(tmp_path, capsys, workers):
+    grid = tmp_path / "grid"
+    code = main([
+        "ablate", "--dataset", str(tmp_path / "missing.bin"), "--out", str(grid),
+        "--rows", "sum", "--seeds", "0", "--workers", workers,
+    ])
+    assert code == 1  # not 2: the missing dataset is never opened
+    assert "--workers" in capsys.readouterr().err
+    assert not grid.exists()
+
+
+def test_negative_dump_limit_is_usage_error_before_any_file_is_read(tmp_path, capsys):
+    out = tmp_path / "attn.jsonl"
+    code = main([
+        "dump-attention", "--checkpoint", str(tmp_path / "missing.ckpt"),
+        "--dataset", str(tmp_path / "missing.bin"), "--out", str(out), "--limit", "-1",
+    ])
+    assert code == 1  # not 2: neither missing file is opened
+    assert "--limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_checkpoint_against_other_feature_dim_is_data_error(dataset_path, tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["train", "--dataset", str(dataset_path), "--out", str(run_dir)] + TRAIN_FLAGS) == 0
