@@ -78,15 +78,24 @@ class CellResult:
         return sum(self.acc.values()) / len(self.acc) if self.acc else float("nan")
 
 
+# A pool worker's copy of the grid's dataset, handed over once by ``_use_dataset``.
+_worker_dataset: Dataset | None = None
+
+
+def _use_dataset(dataset: Dataset) -> None:
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
 def _run_cell(payload: dict, dataset: Dataset | None = None) -> dict:
     """Train one grid cell and write its attention dump; module-level so a
     process pool can pickle it.
 
-    Pool workers pass no ``dataset`` and load their own copy.
+    Pool workers pass no ``dataset`` and use the one their initializer got.
     """
     cell = {"row": payload["row"], "seed": payload["seed"]}
     try:
-        result = run_train(RunConfig.from_json(payload["config"]), dataset=dataset)
+        result = run_train(RunConfig.from_json(payload["config"]), dataset=dataset or _worker_dataset)
         if payload["dumps"]:
             _write_dumps(result)
         return {**cell, "status": "ok", "acc": result.test_acc, "logits": result.test_logits}
@@ -124,7 +133,7 @@ def run_ablation(
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(base.dataset)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_use_dataset, initargs=(dataset,)) as pool:
             raw = list(pool.map(_run_cell, payloads))
     else:
         raw = [_run_cell(p, dataset) for p in payloads]

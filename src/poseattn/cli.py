@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from time import perf_counter
 
 from .ablation import GRID_ROWS, format_table, run_ablation
 from .data import DatasetError, export_manifest_json, load_dataset, save_dataset
@@ -31,7 +32,7 @@ from .training import (
     prepare_sequences,
     run_train,
 )
-from .verify import TinyDims, format_report, run_gradcheck
+from .verify import TinyDims, format_report, gradcheck_workers, run_gradcheck
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -219,8 +220,11 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         raise ConfigError(f"--tol {args.tol} must be finite and > 0")
     if args.seed < 0:
         raise ConfigError(f"--seed {args.seed} must be >= 0")
+    t0 = perf_counter()
     cells = run_gradcheck(TinyDims(), eps=args.eps, tol=args.tol, seed=args.seed)
+    wall = perf_counter() - t0
     print(format_report(cells))
+    print(f"{len(cells)} cells on {gradcheck_workers()} worker(s) in {wall:.2f} s")
     if all(c.passed for c in cells):
         print("all cells pass")
         return EXIT_OK

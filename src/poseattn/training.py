@@ -286,7 +286,9 @@ def predict_logits(
     chunk: int = EVAL_CHUNK,
 ) -> np.ndarray:
     """Fused sequence logits: per stream, average logits over the five eval
-    windows; then sum streams."""
+    windows; then sum streams.  No ids give a (0, n_classes) array."""
+    if not ids:
+        return np.empty((0, streams[0].n_classes))
     fused_rows: list[np.ndarray] = []
     for lo in range(0, len(ids), chunk):
         batch_ids = ids[lo : lo + chunk]

@@ -133,6 +133,29 @@ def test_parallel_workers_match_sequential(tiny_dataset_path, tmp_path):
         assert dump and dump == (tmp_path / "par" / cell / "attention.jsonl").read_bytes(), cell
 
 
+def test_pool_workers_train_on_the_parents_dataset(tiny_dataset_path, tmp_path, monkeypatch):
+    def no_second_load(path):
+        raise AssertionError(f"{path} loaded again in a cell")
+
+    monkeypatch.setattr(training, "load_dataset", no_second_load)  # forked workers inherit it
+    results = run_ablation(
+        base_config(tiny_dataset_path), seeds=[0], out_dir=tmp_path / "grid", rows=["sum", "sa_pose"],
+        workers=2, attention_dumps=False,
+    )
+    assert [c.status for c in results] == ["ok", "ok"]
+
+
+def test_an_empty_test_seeds_split_dumps_an_empty_file(tmp_path):
+    path = tmp_path / "no_test_seeds.bin"
+    save_dataset(path, generate(SyntheticSpec(kind="combined", seed=0, counts=(40, 0, 10))))
+    results = run_ablation(
+        base_config(str(path)), seeds=[0], out_dir=tmp_path / "grid", rows=["sum"], attention_dumps=True,
+    )
+    assert [c.status for c in results] == ["ok"]
+    assert set(results[0].acc) == {"test_pool"}
+    assert (tmp_path / "grid" / "sum-seed0" / "attention.jsonl").read_text() == ""
+
+
 def test_two_stream_mode_fuses_with_shared_pose(tiny_dataset_path, tmp_path, monkeypatch):
     loads = []
     for module in (ablation, training):

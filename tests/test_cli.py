@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,8 @@ def test_gradcheck_command(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "all cells pass" in out
+    assert "seconds" in out.splitlines()[0]
+    assert re.search(r"^11 cells on \d+ worker\(s\) in \d+\.\d\d s$", out, re.MULTILINE)
 
 
 def test_usage_error_exit_code_1():
