@@ -246,19 +246,27 @@ def replacing(path: str | Path, mode: str = "w") -> Iterator[IO]:
 
 
 def save_dataset(path: str | Path, dataset: Dataset) -> None:
+    """Write the dataset file: magic, manifest header, then one block per record.
+
+    The header holds each block's size and checksum, so every block is
+    encoded twice: once to measure it, and again as it is written.  At most
+    one block is held at a time.
+    """
     manifest = dataset.manifest
-    blobs: list[bytes] = []
-    for record in manifest.records:
-        blob = _encode_record(manifest, record, dataset.sequences[record.seq_id])
+
+    def blocks() -> Iterator[bytes]:
+        for record in manifest.records:
+            yield _encode_record(manifest, record, dataset.sequences[record.seq_id])
+
+    for record, blob in zip(manifest.records, blocks()):
         record.nbytes = len(blob)
         record.crc32 = zlib.crc32(blob)
-        blobs.append(blob)
     header = json.dumps(manifest.to_json(), sort_keys=True).encode()
     with replacing(path, "wb") as f:
         f.write(MAGIC)
         f.write(len(header).to_bytes(8, "little"))
         f.write(header)
-        for blob in blobs:
+        for blob in blocks():
             f.write(blob)
 
 

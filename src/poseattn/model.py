@@ -22,6 +22,7 @@ from .nn import (
     Mlp,
     cross_entropy,
     dropout,
+    dropout_mask,
     gru_init,
     gru_stack_init,
     linear_init,
@@ -114,10 +115,6 @@ def context_vector(v: Tensor, p: Tensor) -> Tensor:
     return T.reshape(mixed, (*lead, v.shape[-1]))
 
 
-def _join_steps(parts: list[Tensor]) -> Tensor:
-    return parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
-
-
 class RgbStream:
     """Recurrent classifier over attention-integrated hand glimpse features."""
 
@@ -205,27 +202,14 @@ class RgbStream:
         frames = batch.frames
 
         if self.conditioning in HIDDEN_CONDITIONINGS:
-            # Attention reads h: each frame is a span of its own, fed the last
-            # span's state, over the rows that the windows show at that frame
-            # (gathered once for every span).
-            feats, mask, pose = (a[frames] for a in (batch.features, batch.hand_mask, batch.pose_aug))
-            h = Tensor(np.zeros((b, 1, self.hidden_dim)))
-            states: list[Tensor] = []
-            attentions: list[Tensor] = []
-            for t in range(n_frames):
-                span = slice(t, t + 1)
-                ctx, p = self._front_end(feats[:, span], mask[:, span], pose[:, span], h, training, rng)
-                attentions.append(p)
-                h0 = T.reshape(h, (b, self.hidden_dim)) if states else None
-                h = self.gru.run(ctx, h0)  # (B, 1, H)
-                states.append(h)
-            hidden_states = _join_steps(states)  # (B, T, H)
-            spatial = _join_steps(attentions)
+            # Attention reads h, so the front end runs inside the recurrence:
+            # one scan over the rows that the windows show at each frame.
+            hidden_states, spatial = self._attend_scan(batch, training, rng)
         else:
             # Nothing before the GRU depends on time or on the window: the
             # front end and the input projection run once per distinct frame,
             # and the windows gather their rows for one scan.
-            ctx, p = self._front_end(batch.features, batch.hand_mask, batch.pose_aug, None, training, rng)
+            ctx, p = self._front_end(batch.features, batch.hand_mask, batch.pose_aug, training, rng)
             hidden_states = self.gru.run(ctx, rows=frames)  # (B, T, H)
             spatial = None if p is None else T.gather_rows(p, frames)
 
@@ -245,18 +229,45 @@ class RgbStream:
             temporal_attention=p_prime,
         )
 
+    def _attend_scan(
+        self, batch: WindowBatch, training: bool, rng: np.random.Generator | None
+    ) -> tuple[Tensor, Tensor]:
+        """Hidden states (B, T, H) and spatial attention (B, T, 4) of the
+        conditionings that read the state, from one ``attend_scan``."""
+        frames = batch.frames
+        b, n_frames = frames.shape
+        mask = batch.hand_mask[frames]
+        l0, l1 = self.attn.layers
+        # Per frame, the attention's hidden-layer mask, then the context's.
+        masks = [
+            dropout_mask(shape, self.dropout_rate, rng, training)
+            for _ in range(n_frames)
+            for shape in ((b, 1, l0.W.shape[0]), (b, 1, self.feat_dim))
+        ]
+        drops = None
+        if masks[0] is not None:
+            drops = tuple(np.stack(masks[i::2]).reshape(n_frames, b, -1) for i in (0, 1))
+        return T.attend_scan(
+            Tensor(batch.features[frames]),
+            Tensor(mask),
+            Tensor(batch.pose_aug[frames]) if self.conditioning in POSE_CONDITIONINGS else None,
+            Tensor((1.0 - mask) * _MASK_BIAS) if self.mask_absent else None,
+            drops,
+            l0.W, l0.b, l1.W, l1.b,
+            self.gru.W, self.gru.b, self.gru.U,
+        )
+
     def _front_end(
         self,
         feats: np.ndarray,
         mask: np.ndarray,
         pose_aug: np.ndarray,
-        h: Tensor | None,
         training: bool,
         rng: np.random.Generator | None,
     ) -> tuple[Tensor, Tensor | None]:
         """GRU inputs (..., in) and spatial attention (..., 4) or None over frame
         rows with glimpse features (..., 4, D), hand mask (..., 4) and augmented
-        pose (..., 3P), attending from state h if the conditioning reads it."""
+        pose (..., 3P), for the conditionings that do not read the state."""
         # Stored glimpse features stand in for a frozen backbone.
         p = None
         if self.conditioning == "concat":
@@ -268,8 +279,8 @@ class RgbStream:
                 p = spatial_attention_weights(
                     self.attn,
                     self.conditioning,
-                    Tensor(pose_aug) if self.conditioning in POSE_CONDITIONINGS else None,
-                    h,
+                    Tensor(pose_aug),
+                    None,
                     mask_t=mask if self.mask_absent else None,
                     dropout_rate=self.dropout_rate,
                     rng=rng,

@@ -89,16 +89,23 @@ def mlp_init(
     return Mlp(layers=layers)
 
 
+def dropout_mask(
+    shape: tuple[int, ...], rate: float, rng: np.random.Generator | None, training: bool
+) -> np.ndarray | None:
+    """Inverted-dropout mask: 0 or 1/(1-rate) per element at train time, None at eval."""
+    if not training or rate <= 0.0:
+        return None
+    if rng is None:
+        raise ValueError("dropout at train time needs an rng")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
 def dropout(
     x: Tensor, rate: float, rng: np.random.Generator | None, training: bool
 ) -> Tensor:
     """Inverted dropout: mask-multiply with 1/(1-rate) scale at train time, identity at eval."""
-    if not training or rate <= 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout at train time needs an rng")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return T.multiply(x, Tensor(mask))
+    mask = dropout_mask(x.shape, rate, rng, training)
+    return x if mask is None else T.multiply(x, Tensor(mask))
 
 
 @dataclass

@@ -464,6 +464,53 @@ def log_softmax(a: Tensor) -> Tensor:
     return _make(z - np.log(s), "log_softmax", (a,), (vjp,))
 
 
+def _gru_step(h: Array, xp_t: Array, U_zrT: Array, U_cT: Array, zr_t: Array, c_t: Array, h_t: Array) -> None:
+    """One GRU step from state h (B, H) on a projected input xp_t (B, 3H).
+
+    Writes the z, r gates into zr_t (B, 2H), the candidate into c_t (B, H)
+    and the new state into h_t (B, H).  Floating-point addition commutes, so
+    adding the input projection onto the GEMM output keeps every bit.
+    """
+    H = h.shape[1]
+    np.matmul(h, U_zrT, out=zr_t)
+    zr_t += xp_t[:, : 2 * H]
+    zr_t *= 0.5
+    np.tanh(zr_t, out=zr_t)
+    zr_t += 1.0
+    zr_t *= 0.5
+    z, r = zr_t[:, :H], zr_t[:, H:]
+    np.matmul(r * h, U_cT, out=c_t)
+    c_t += xp_t[:, 2 * H :]
+    np.tanh(c_t, out=c_t)
+    np.multiply(1.0 - z, h, out=h_t)
+    h_t += z * c_t
+
+
+def _gru_step_back(dh: Array, zr_t: Array, c_t: Array, hp: Array, U_zr: Array, U_c: Array, d: Array) -> None:
+    """Back through one ``_gru_step`` from state hp: writes the gradient of
+    xp_t into d (B, 3H) and turns dh, the gradient of the new state, into
+    that of hp, in place."""
+    H = hp.shape[1]
+    z, r = zr_t[:, :H], zr_t[:, H:]
+    np.multiply(dh * z, 1.0 - c_t * c_t, out=d[:, 2 * H :])
+    drh = d[:, 2 * H :] @ U_c
+    np.multiply(dh * (c_t - hp), z * (1.0 - z), out=d[:, :H])
+    np.multiply(drh * hp, r * (1.0 - r), out=d[:, H : 2 * H])
+    dh *= 1.0 - z
+    dh += drh * r
+    dh += d[:, : 2 * H] @ U_zr
+
+
+def _gru_dU(d_rows: Array, h_rows: Array, rh_rows: Array) -> Array:
+    """Recurrent weight gradient (3H, H) from the rows of d xp (n, 3H), of the
+    states the steps started from (n, H) and of r * h (n, H)."""
+    H = h_rows.shape[1]
+    dU = np.empty((3 * H, H))
+    np.matmul(d_rows[:, : 2 * H].T, h_rows, out=dU[: 2 * H])
+    np.matmul(d_rows[:, 2 * H :].T, rh_rows, out=dU[2 * H :])
+    return dU
+
+
 def gru_scan(xp: Tensor, U: Tensor, h0: Tensor) -> Tensor:
     """GRU recurrence over a projected input sequence, as one node.
 
@@ -492,27 +539,14 @@ def gru_scan(xp: Tensor, U: Tensor, h0: Tensor) -> Tensor:
     U_zr, U_c = Ud[: 2 * H], Ud[2 * H :]
     U_zrT, U_cT = U_zr.T, U_c.T
     # Gate values, saved for the sweep, are time-major: each step's GEMMs
-    # write into one contiguous block.  Floating-point addition commutes, so
-    # adding the input projection onto the GEMM output keeps every bit.
+    # write into one contiguous block.
     zr = np.empty((n, B, 2 * H))
     c = np.empty((n, B, H))
     hs = np.empty((B, n, H))
     h = hd
     for t in range(n):
-        a, c_t, h_t = zr[t], c[t], hs[:, t]
-        np.matmul(h, U_zrT, out=a)
-        a += xd[:, t, : 2 * H]
-        a *= 0.5
-        np.tanh(a, out=a)
-        a += 1.0
-        a *= 0.5
-        z, r = a[:, :H], a[:, H:]
-        np.matmul(r * h, U_cT, out=c_t)
-        c_t += xd[:, t, 2 * H :]
-        np.tanh(c_t, out=c_t)
-        np.multiply(1.0 - z, h, out=h_t)
-        h_t += z * c_t
-        h = h_t
+        _gru_step(h, xd[:, t], U_zrT, U_cT, zr[t], c[t], hs[:, t])
+        h = hs[:, t]
     swept: list = [None, None]  # [g, (dxp, dh0)]: the first VJP called runs the sweep
 
     def sweep(g):
@@ -521,16 +555,7 @@ def gru_scan(xp: Tensor, U: Tensor, h0: Tensor) -> Tensor:
             dh = np.zeros((B, H))
             for t in reversed(range(n)):
                 dh += g[:, t]
-                z, r = zr[t, :, :H], zr[t, :, H:]
-                c_t, hp = c[t], (hs[:, t - 1] if t else hd)
-                d = dxp[:, t]
-                np.multiply(dh * z, 1.0 - c_t * c_t, out=d[:, 2 * H :])
-                drh = d[:, 2 * H :] @ U_c
-                np.multiply(dh * (c_t - hp), z * (1.0 - z), out=d[:, :H])
-                np.multiply(drh * hp, r * (1.0 - r), out=d[:, H : 2 * H])
-                dh *= 1.0 - z
-                dh += drh * r
-                dh += d[:, : 2 * H] @ U_zr
+                _gru_step_back(dh, zr[t], c[t], hs[:, t - 1] if t else hd, U_zr, U_c, dxp[:, t])
             swept[:] = g, (dxp, dh)
         return swept[1]
 
@@ -538,15 +563,178 @@ def gru_scan(xp: Tensor, U: Tensor, h0: Tensor) -> Tensor:
         return sweep(g)[0]
 
     def vjp_U(g):
-        rows = sweep(g)[0].reshape(B * n, 3 * H)
         h_prev = np.concatenate((hd[:, None], hs[:, :-1]), axis=1)
-        rh = (zr[:, :, H:].transpose(1, 0, 2) * h_prev).reshape(B * n, H)
-        dU = np.empty_like(Ud)
-        np.matmul(rows[:, : 2 * H].T, h_prev.reshape(B * n, H), out=dU[: 2 * H])
-        np.matmul(rows[:, 2 * H :].T, rh, out=dU[2 * H :])
-        return dU
+        rh = zr[:, :, H:].transpose(1, 0, 2) * h_prev
+        return _gru_dU(sweep(g)[0].reshape(B * n, 3 * H), h_prev.reshape(B * n, H), rh.reshape(B * n, H))
 
     def vjp_h0(g):
         return sweep(g)[1]
 
     return _make(hs, "gru_scan", (xp, U, h0), (vjp_xp, vjp_U, vjp_h0))
+
+
+def attend_scan(
+    v: Tensor,
+    mask: Tensor,
+    pose: Tensor | None,
+    bias: Tensor | None,
+    drops: tuple[Array, Array] | None,
+    W0: Tensor,
+    b0: Tensor,
+    W1: Tensor,
+    b1: Tensor,
+    W: Tensor,
+    b: Tensor,
+    U: Tensor,
+) -> tuple[Tensor, Tensor]:
+    """Soft attention that reads a GRU's state, and the GRU it feeds, as one node.
+
+    ``v`` (B, T, K, D) holds the features of K slots per frame, ``mask``
+    (B, T, K) their weights, ``pose`` (B, T, P) what the attention reads
+    besides the state (or None) and ``bias`` (B, T, K) what it adds to its
+    logits (or None).  Per frame t, from the state h before it (zeros at the
+    first): ``u = relu([pose_t, h] W0^T + b0)``, ``p = softmax(u W1^T + b1 +
+    bias_t)``, ``ctx = sum_k p_k mask_tk v_tk``, then one step of
+    :func:`gru_scan` on ``ctx W^T + b`` with ``U``.  ``drops`` holds inverted
+    dropout masks (T, B, A) for u and (T, B, D) for ctx, or None.
+
+    It runs the array ops, on the same shapes and layouts, of the per-frame
+    composition of ``concat``, ``linear``, ``relu``, ``softmax``,
+    ``multiply``, ``matmul`` and one-step ``gru_scan`` nodes, so its values
+    equal that composition's bit for bit.  Returns the states (B, T, H) on
+    the tape, and the attention (B, T, K) as a constant.  As in
+    ``gru_scan``, only the outputs are checked for finiteness.  The VJP
+    sweeps the frames backward once; each weight gradient is one GEMM over
+    the B*T saved rows.
+    """
+    vd, md, Ud = v.data, mask.data, U.data
+    B, n, K, D = vd.shape if vd.ndim == 4 else (0, 0, 0, 0)
+    A = W0.data.shape[0] if W0.data.ndim == 2 else -1
+    H = Ud.shape[1] if Ud.ndim == 2 else -1
+    P = 0 if pose is None else pose.data.shape[-1] if pose.data.ndim == 3 else -1
+    n_in = P + H
+    if (
+        n == 0
+        or md.shape != (B, n, K)
+        or (pose is not None and pose.data.shape != (B, n, P))
+        or (bias is not None and bias.data.shape != (B, n, K))
+        or (drops is not None and (drops[0].shape, drops[1].shape) != ((n, B, A), (n, B, D)))
+        or W0.data.shape != (A, n_in)
+        or b0.data.shape != (A,)
+        or W1.data.shape != (K, A)
+        or b1.data.shape != (K,)
+        or W.data.shape != (3 * H, D)
+        or b.data.shape != (3 * H,)
+        or Ud.shape != (3 * H, H)
+    ):
+        shapes = ", ".join(
+            f"{name} {None if t is None else t.data.shape}"
+            for name, t in (("v", v), ("mask", mask), ("pose", pose), ("bias", bias), ("W0", W0),
+                            ("b0", b0), ("W1", W1), ("b1", b1), ("W", W), ("b", b), ("U", U))
+        )
+        drop_shapes = None if drops is None else tuple(d.shape for d in drops)
+        raise ShapeError(f"attend_scan: {shapes}, drops {drop_shapes} do not conform")
+    params = (W0, b0, W1, b1, W, b, U)
+    W0d, W1d, Wd = W0.data, W1.data, W.data
+    W0T, W1T, WT = W0d.T, W1d.T, Wd.T
+    b0d, b1d, bd = b0.data, b1.data, b.data
+    U_zr, U_c = Ud[: 2 * H], Ud[2 * H :]
+    U_zrT, U_cT = U_zr.T, U_c.T
+    drop_u, drop_ctx = (None, None) if drops is None else drops
+    # Each frame makes fresh arrays, kept for the sweep only when this node
+    # is recorded: scan-sized buffers, made and freed by every eval forward,
+    # would cost a page fault per page touched.
+    keep = bool(_TLS.stack) and any(t.requires_grad for t in params)
+    hs = [np.zeros((B, H))]  # hs[t]: the state frame t starts from
+    ps: list[Array] = []
+    xs: list[Array] = []  # what the attention read
+    lives: list[Array] = []  # where its ReLU passed
+    us: list[Array] = []  # its hidden layer, after dropout
+    ctxs: list[Array] = []  # the GRU inputs
+    zrs: list[Array] = []  # the GRU gates
+    cs: list[Array] = []  # the GRU candidates
+    for t in range(n):
+        h = hs[t]
+        x = h if pose is None else np.concatenate((pose.data[:, t], h), axis=1)
+        a = x @ W0T
+        a += b0d
+        live = a > 0
+        u = np.where(live, a, 0.0)
+        if drop_u is not None:
+            u = u * drop_u[t]
+        logits = u @ W1T
+        logits += b1d
+        logits = logits.reshape(B, 1, K)
+        if bias is not None:
+            logits = logits + bias.data[:, t : t + 1]
+        # softmax's reductions, without the ndarray methods' Python wrappers
+        e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+        p = e / np.add.reduce(e, axis=-1, keepdims=True)
+        ctx = p * md[:, t : t + 1] @ vd[:, t]  # (B, 1, K) @ (B, K, D)
+        if drop_ctx is not None:
+            ctx = ctx * drop_ctx[t][:, None]
+        xp = ctx.reshape(B, D) @ WT
+        xp += bd
+        zr, c, h_t = np.empty((B, 2 * H)), np.empty((B, H)), np.empty((B, H))
+        _gru_step(h, xp, U_zrT, U_cT, zr, c, h_t)
+        hs.append(h_t)
+        ps.append(p)
+        if keep:
+            xs.append(x)
+            lives.append(live)
+            us.append(u)
+            ctxs.append(ctx.reshape(B, D))
+            zrs.append(zr)
+            cs.append(c)
+    swept: list = [None, None]  # [g, (da, dl, dxp)]: the first VJP called runs the sweep
+
+    def sweep(g):
+        if swept[0] is not g:
+            da, dl, dxp = np.empty((n, B, A)), np.empty((n, B, K)), np.empty((n, B, 3 * H))
+            dh = np.zeros((B, H))
+            W0h = W0d[:, P:]  # the columns that read the state
+            for t in reversed(range(n)):
+                dh += g[:, t]
+                _gru_step_back(dh, zrs[t], cs[t], hs[t], U_zr, U_c, dxp[t])
+                dctx = dxp[t] @ Wd
+                if drop_ctx is not None:
+                    dctx *= drop_ctx[t]
+                dp = np.matmul(vd[:, t], dctx[:, :, None])[:, :, 0]
+                dp *= md[:, t]
+                p_t = ps[t][:, 0]
+                np.multiply(p_t, dp - np.add.reduce(dp * p_t, axis=-1, keepdims=True), out=dl[t])
+                du = dl[t] @ W1d
+                if drop_u is not None:
+                    du *= drop_u[t]
+                np.multiply(du, lives[t], out=da[t])
+                if t:  # the first state is a constant
+                    dh += da[t] @ W0h
+            swept[:] = g, (da.reshape(n * B, A), dl.reshape(n * B, K), dxp.reshape(n * B, 3 * H))
+        return swept[1]
+
+    # Each weight gradient multiplies by the rows of all frames, time-major.
+    def vjp_W0(g):
+        return sweep(g)[0].T @ np.concatenate(xs)
+
+    def vjp_b0(g):
+        return sweep(g)[0].sum(axis=0)
+
+    def vjp_W1(g):
+        return sweep(g)[1].T @ np.concatenate(us)
+
+    def vjp_b1(g):
+        return sweep(g)[1].sum(axis=0)
+
+    def vjp_W(g):
+        return sweep(g)[2].T @ np.concatenate(ctxs)
+
+    def vjp_b(g):
+        return sweep(g)[2].sum(axis=0)
+
+    def vjp_U(g):
+        h_rows = np.concatenate(hs[:-1])
+        rh = np.concatenate(zrs)[:, H:] * h_rows
+        return _gru_dU(sweep(g)[2], h_rows, rh)
+
+    vjps = (vjp_W0, vjp_b0, vjp_W1, vjp_b1, vjp_W, vjp_b, vjp_U)
+    return _make(np.stack(hs[1:], axis=1), "attend_scan", params, vjps), Tensor(np.concatenate(ps, axis=1))

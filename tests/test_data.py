@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -278,3 +279,17 @@ def test_content_hash_changes_with_content(tmp_path):
     blob[-1] ^= 1
     p2.write_bytes(bytes(blob))
     assert dataset_content_hash(p1) != dataset_content_hash(p2)
+
+
+def test_save_holds_one_encoded_block_at_a_time(tmp_path):
+    dataset = tiny_dataset(n=16, t=20, d=512)  # 20 x 4 x 512 f4 features: about 160 kB a block
+    block = 20 * 4 * 512 * 4
+    tracemalloc.start()
+    try:
+        save_dataset(tmp_path / "d.bin", dataset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Encoding one block takes about three block-sized buffers; holding
+    # every block would peak above 16 of them.
+    assert peak < 6 * block, peak

@@ -13,7 +13,7 @@ from poseattn.model import (
     fuse_logits,
     spatial_attention_weights,
 )
-from poseattn.nn import mlp_init
+from poseattn.nn import dropout, mlp_init
 from poseattn.tensor import NumericError, ShapeError, Tensor
 from poseattn.verify import TinyDims
 
@@ -197,23 +197,45 @@ class TestRgbStream:
         np.testing.assert_allclose(out.logits.data, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("ta", [False, True])
-    def test_pose_conditioned_tape_size_does_not_grow_with_the_window(self, ta):
+    @pytest.mark.parametrize("cond", CONDITIONINGS)
+    def test_tape_size_does_not_grow_with_the_window(self, cond, ta):
         nodes = []
         for t in (4, 8):
-            stream = make_stream(np.random.default_rng(63), cond="pose", ta=ta, n_frames=t, dropout_rate=0.5)
+            stream = make_stream(np.random.default_rng(63), cond=cond, ta=ta, n_frames=t, dropout_rate=0.5)
             batch = make_batch(np.random.default_rng(64), t=t)
             with T.Tape() as tape:
                 stream.loss(stream.forward(batch, training=True, rng=np.random.default_rng(65)), batch.labels)
             nodes.append(tape.node_count)
         assert nodes[0] == nodes[1]
 
-    @pytest.mark.parametrize("cond", ["pose", "hidden"])
+    @pytest.mark.parametrize("cond", CONDITIONINGS)
     def test_non_finite_hand_feature_raises(self, cond):
         stream = make_stream(np.random.default_rng(66), cond=cond)
         batch = make_batch(np.random.default_rng(67), step=2)
         batch.features[batch.frames[1, 3], 2, 0] = np.nan  # one window's frame, one hand
         with pytest.raises(NumericError):
             stream.forward(batch)
+
+    @pytest.mark.parametrize("size", ["tiny", "acceptance"])
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("ta", [False, True])
+    @pytest.mark.parametrize("cond", HIDDEN_CONDITIONINGS)
+    def test_state_reading_scan_is_the_per_span_composition_bitwise(self, cond, ta, training, size):
+        dims = dict(feat_dim=16, hidden_dim=48, attn_hidden=48, n_frames=20) if size == "acceptance" else {}
+        train = dict(dropout_rate=0.5, mask_absent=True) if training else {}
+        stream = make_stream(np.random.default_rng(68), cond=cond, ta=ta, **dims, **train)
+        for p in stream.parameters().values():  # off the uniform, zero-bias init
+            p.data = p.data + 0.3 * np.random.default_rng(69).normal(size=p.data.shape)
+        b, t = (32, 20) if size == "acceptance" else (3, 4)
+        batch = make_batch(np.random.default_rng(70), b=b, t=t, d=stream.feat_dim, step=1)
+        batch.hand_mask[::3, 1] = 0.0
+        batch.hand_mask[2] = 0.0  # every hand absent
+        rng, ref_rng = np.random.default_rng(71), np.random.default_rng(71)
+        out = stream.forward(batch, training=training, rng=rng)
+        want = _per_span_forward(stream, batch, training, ref_rng)
+        for got, ref in zip((out.logits, out.hidden_states, out.spatial_attention), want):
+            assert got.data.shape == ref.data.shape and got.data.tobytes() == ref.data.tobytes()
+        assert rng.random() == ref_rng.random()
 
     def test_pose_conditioned_attention_ignores_features(self):
         rng = np.random.default_rng(15)
@@ -243,8 +265,12 @@ class TestRgbStream:
         assert out.spatial_attention is None
         assert out.logits.shape == (2, 3)
 
-    @pytest.mark.parametrize("cond, scans", [("pose", 1), ("sum", 1), ("concat", 1), ("hidden", 4), ("both", 4)])
+    @pytest.mark.parametrize(
+        "cond, scans", [("pose", 1), ("sum", 1), ("concat", 1), ("hidden", 0), ("both", 0)]
+    )
     def test_gru_runs_once_unless_attention_reads_the_state(self, cond, scans, monkeypatch):
+        # Every conditioning records one recurrence node: its own gru_scan, or
+        # the attend_scan that runs the GRU when attention reads the state.
         ops = []
         make = T._make
 
@@ -258,6 +284,7 @@ class TestRgbStream:
         with T.Tape():
             stream.forward(batch, training=True, rng=np.random.default_rng(27))
         assert ops.count("gru_scan") == scans
+        assert ops.count("gru_scan") + ops.count("attend_scan") == 1
 
     def test_deterministic_forward_given_seed(self):
         outs = []
@@ -300,6 +327,42 @@ class TestRgbStream:
         stream = make_stream(rng, cond="sum", pooling="average")
         out = stream.forward(make_batch(np.random.default_rng(30)))
         assert np.allclose(out.logits.data, out.per_step_logits.data.mean(axis=1))
+
+
+def _per_span_forward(stream, batch, training, rng):
+    """Logits, hidden states and spatial attention of a state-reading stream,
+    composed frame by frame on the tape: per frame the attention, the slot
+    mix, context dropout and a one-step GRU scan fed the last frame's state."""
+    b, n = batch.frames.shape
+    H, rate = stream.hidden_dim, stream.dropout_rate
+    feats, mask, pose = (a[batch.frames] for a in (batch.features, batch.hand_mask, batch.pose_aug))
+    h = Tensor(np.zeros((b, 1, H)))
+    states, attentions = [], []
+    for t in range(n):
+        span = slice(t, t + 1)
+        p = spatial_attention_weights(
+            stream.attn,
+            stream.conditioning,
+            Tensor(pose[:, span]) if stream.conditioning in POSE_CONDITIONINGS else None,
+            h,
+            mask_t=mask[:, span] if stream.mask_absent else None,
+            dropout_rate=rate,
+            rng=rng,
+            training=training,
+        )
+        v = Tensor(feats[:, span].reshape(-1, *feats.shape[-2:]))
+        ctx = dropout(context_vector(v, T.multiply(p, Tensor(mask[:, span]))), rate, rng, training)
+        h = stream.gru.run(ctx, T.reshape(h, (b, H)) if states else None)  # (B, 1, H)
+        states.append(h)
+        attentions.append(p)
+    hs, spatial = (parts[0] if n == 1 else T.concat(parts, axis=1) for parts in (states, attentions))
+    if stream.use_temporal:
+        motion = Tensor(batch.motion[batch.frames].reshape(b, -1))
+        p_prime = T.softmax(stream.temporal(motion, rate, rng, training))
+        logits = stream.head(context_vector(hs, p_prime))
+    else:
+        logits = stream._pool_steps(stream.head(hs), n)
+    return logits, hs, spatial
 
 
 def _softmax(z):

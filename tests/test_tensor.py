@@ -300,7 +300,31 @@ def _binary_cases(rng):
         "gru_scan_5": (T.gru_scan, t((2, 5, 9)), t((9, 3)), t((2, 3))),
         "concat": (lambda a, b: T.concat([a, b], axis=1), t((2, 3)), t((2, 5))),
         "stack": (lambda a, b: T.stack([a, b], axis=1), t((2, 3)), t((2, 3))),
+        **{
+            f"attend_scan_{cond}_{n}": _attend_scan_case(rng, t, cond, n)
+            for cond in ("hidden", "both")
+            for n in (1, 5)
+        },
     }
+
+
+def _attend_scan_case(rng, t, cond, n):
+    """(op, W0, b0, W1, b1, W, b, U) for attend_scan over B=2 windows of n
+    frames, 4 slots of D=2 features, state H=2, attention hidden A=2 and,
+    under "both", a pose of P=2: some slots absent and biased away, as under
+    ``mask_absent``, and dropout masks at rate 0.5 on u and on ctx."""
+    B, K, D, H, A = 2, 4, 2, 2, 2
+    P = 2 if cond == "both" else 0
+    v = Tensor(rng.normal(size=(B, n, K, D)))
+    mask = (rng.random((B, n, K)) > 0.3).astype(float)
+    pose = Tensor(rng.normal(size=(B, n, P))) if P else None
+    drops = tuple((rng.random((n, B, m)) >= 0.5) / 0.5 for m in (A, D))
+
+    def op(*params):
+        return T.attend_scan(v, Tensor(mask), pose, Tensor((1.0 - mask) * -1e9), drops, *params)[0]
+
+    shapes = ((A, P + H), (A,), (K, A), (K,), (3 * H, D), (3 * H,), (3 * H, H))
+    return (op, *(t(shape) for shape in shapes))
 
 
 @pytest.mark.parametrize("name", sorted(_binary_cases(np.random.default_rng(0))))
@@ -314,7 +338,7 @@ def test_binary_adjoints_match_finite_differences(name):
         def f():
             return T.sum_axis(T.multiply(op(*inputs), w))
 
-        res = grad_check_params(f, dict(zip("abc", inputs)))
+        res = grad_check_params(f, dict(zip("abcdefg", inputs)))
         worst = max(worst, max(r.max_rel_error for r in res.values()))
     assert worst < 1e-5
 
@@ -372,6 +396,19 @@ def test_every_op_of_the_gradcheck_cells_has_an_adjoint_case(monkeypatch):
         op(*inputs)
     assert "gather_rows" in reached
     assert reached <= covered, sorted(reached - covered)
+
+
+def test_attend_scan_shape_error_names_op_and_shapes():
+    zeros = lambda shape: Tensor(np.zeros(shape))
+    _, *params = _attend_scan_case(np.random.default_rng(8), zeros, "both", 3)  # B=2, T=3, P=2
+    v, mask = zeros((2, 3, 4, 2)), zeros((2, 3, 4))
+    with pytest.raises(ShapeError, match=r"attend_scan: v \(2, 3, 4, 2\), mask \(2, 3, 4\), pose \(2, 3, 5\)"):
+        T.attend_scan(v, mask, zeros((2, 3, 5)), None, None, *params)
+    wrong_drops = (np.ones((3, 2, 2)), np.ones((2, 3, 2)))
+    with pytest.raises(ShapeError, match=r"attend_scan: .*drops \(\(3, 2, 2\), \(2, 3, 2\)\)"):
+        T.attend_scan(v, mask, zeros((2, 3, 2)), None, wrong_drops, *params)
+    with pytest.raises(ShapeError, match=r"attend_scan: v \(2, 0, 4, 2\)"):
+        T.attend_scan(zeros((2, 0, 4, 2)), zeros((2, 0, 4)), None, None, None, *params)
 
 
 def test_gather_rows_rejects_an_index_outside_the_rows():

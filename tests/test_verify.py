@@ -50,6 +50,22 @@ def test_corrupted_adjoint_reported_with_parameter_name(monkeypatch):
     monkeypatch.setattr(poseattn.tensor, "_make", real_make)
 
 
+def test_corrupted_scan_adjoint_fails_only_attention_and_gru_parameters(monkeypatch):
+    real_make = poseattn.tensor._make
+
+    def corrupting_make(out_data, op, parents, vjps):
+        if op == "attend_scan":
+            vjps = tuple(lambda g, f=f: 1.01 * f(g) for f in vjps)  # deliberately wrong by 1%
+        return real_make(out_data, op, parents, vjps)
+
+    monkeypatch.setattr(poseattn.tensor, "_make", corrupting_make)
+    cell = check_rgb_cell("both", True, TinyDims())
+    assert not cell.passed
+    names = {name for name, _ in cell.failures}
+    # The temporal attention's and the head's gradients bypass the scan.
+    assert names and all(n.startswith(("attn.", "gru.")) for n in names), names
+
+
 def test_report_formatting(report):
     text = format_report(report)
     assert "pose_stream" in text
