@@ -4,12 +4,15 @@ Nine RGB-stream rows: sum and concat integration baselines, spatial
 attention under three conditionings, temporal attention alone (over sum
 integration), and the three spatio-temporal combinations.  Every cell
 trains with the same budget and per-seed identical initial conditions and
-is evaluated on the two held-out splits.  A cell hands back the test logits
-its run computed and writes its attention dump from the stream it trained
-in memory, so the grid reads no checkpoint back.  In two-stream mode one
-pose stream per seed is shared by every row and fused at the logit level:
-each row's logits plus the pose run's, the same sums that scoring both
-streams together gives.
+is evaluated on the two held-out splits.  The grid loads and prepares the
+dataset once, before any cell runs, and every cell (and each pool worker,
+which inherits it) trains on that one prepared table.  A cell hands back the
+test logits its run computed and writes its attention dump from the stream
+it trained in memory, with each sequence's prediction taken from those
+logits, so the grid reads no checkpoint back and scores each stream once per
+split.  In two-stream mode one pose stream per seed is shared by every row
+and fused at the logit level: each row's logits plus the pose run's, the
+same sums that scoring both streams together gives.
 """
 from __future__ import annotations
 
@@ -132,6 +135,7 @@ def run_ablation(
     ]
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(base.dataset)
+    dataset.prepared  # prepared here, once: serial cells share it, forked workers inherit it
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_use_dataset, initargs=(dataset,)) as pool:
             raw = list(pool.map(_run_cell, payloads))
@@ -167,8 +171,8 @@ def _fuse_with_pose(
         pose = pose_by_seed[cell.seed]
         logits = {split: fuse_logits(pose.test_logits[split], rgb) for split, rgb in cell.logits.items()}
         acc = {
-            split: accuracy(split_logits, pose.prepared, dataset.manifest.split_ids(split))
-            for split, split_logits in logits.items()
+            split: accuracy(logits[split], dataset.prepared, dataset.manifest.split_ids(split))
+            for split in cell.acc
         }
         fused.append(replace(cell, acc=acc, logits=logits))
     return fused
@@ -176,13 +180,15 @@ def _fuse_with_pose(
 
 def _write_dumps(result: TrainResult) -> None:
     """Attention records of the first 50 ``test_seeds`` sequences, from the
-    RGB stream the cell just trained, into its run directory."""
+    RGB stream the cell just trained, into its run directory.  Predictions
+    come from the test logits the cell's run already computed."""
     ids = result.dataset.manifest.split_ids("test_seeds")[:50]
     dump_attention(
         [result.streams["rgb"].stream],
-        result.prepared,
+        result.dataset.prepared,
         ids,
         result.config.clip_len,
+        result.test_logits["test_seeds"][: len(ids)],
         out_path=Path(result.config.out_dir) / "attention.jsonl",
     )
 

@@ -29,7 +29,7 @@ from .training import (
     dump_attention,
     evaluate,
     load_checkpoint,
-    prepare_sequences,
+    predict_logits,
     run_train,
 )
 from .verify import TinyDims, format_report, gradcheck_workers, run_gradcheck
@@ -175,7 +175,7 @@ def _load_for_eval(args: argparse.Namespace):
     if not ids:
         raise DatasetError(f"split {args.split!r} is empty")
     models = [s["stream"] for s in streams.values()]
-    return config, models, prepare_sequences(dataset), ids
+    return config, models, dataset.prepared, ids
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -238,7 +238,8 @@ def _cmd_dump_attention(args: argparse.Namespace) -> int:
     if args.limit:
         ids = ids[: args.limit]
     out = _out_path(args.out)
-    dump_attention(models, prepared, ids, config.clip_len, out_path=out)
+    logits = predict_logits(models, prepared, ids, config.clip_len)
+    dump_attention(models, prepared, ids, config.clip_len, logits, out_path=out)
     print(f"wrote {len(ids)} records to {out}")
     return EXIT_OK
 

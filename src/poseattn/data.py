@@ -7,6 +7,9 @@ nothing after the last.  Each block packs, in order: joints3d f32 (T, 2, J,
 ground-truth attention slots i32 (T,) and window i32 (2,) when the manifest
 flags say so.  The manifest gives each block's byte size and CRC32.  Storage
 is f32; compute is f64.  Round-trips are bitwise.
+
+A loaded ``Dataset`` also carries its model inputs, prepared once on first
+use (``Dataset.prepared``) and shared, read-only, by every run on it.
 """
 from __future__ import annotations
 
@@ -16,12 +19,13 @@ import os
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterator
 
 import numpy as np
 
-from .pose import PoseSequence
+from .pose import PoseSequence, augment_pose, motion_stats, normalize_pose
 
 MAGIC = b"POSEDS01"
 FORMAT_VERSION = 2
@@ -152,6 +156,23 @@ class SequenceData:
 
 
 @dataclass
+class PreparedSequence:
+    """One sequence with all model inputs precomputed on the full length.
+    Every array is read-only: one table is shared by every run on a dataset."""
+
+    seq_id: str
+    label: int
+    length: int
+    pose_raw: np.ndarray  # (L, P)
+    pose_aug: np.ndarray  # (L, 3P)
+    motion: np.ndarray  # (L, 2)
+    features: np.ndarray  # (L, 4, D) the dataset's own f32 array; batches widen them to f64
+    hand_mask: np.ndarray  # (L, 4) f64
+    gt_slot: np.ndarray | None = None
+    gt_window: np.ndarray | None = None
+
+
+@dataclass
 class Dataset:
     manifest: DatasetManifest
     sequences: dict[str, SequenceData]
@@ -159,6 +180,45 @@ class Dataset:
 
     def split_items(self, split: str) -> list[tuple[SequenceRecord, SequenceData]]:
         return [(r, self.sequences[r.seq_id]) for r in self.manifest.records if r.split == split]
+
+    @cached_property
+    def prepared(self) -> dict[str, PreparedSequence]:
+        """``prepare_sequences`` of this dataset, computed on first use and kept
+        for the dataset's lifetime: every run on this object shares it, and a
+        forked pool worker inherits it."""
+        return prepare_sequences(self)
+
+
+def prepare_sequences(dataset: Dataset) -> dict[str, PreparedSequence]:
+    """Normalize, augment, and flatten every sequence once up front.
+
+    The arrays are marked read-only, the dataset's own ``features``,
+    ``gt_slot`` and ``gt_window`` with them, so that no caller can change
+    what another run reads."""
+    spine = dataset.manifest.spine_joint
+    out: dict[str, PreparedSequence] = {}
+    for record in dataset.manifest.records:
+        seqdata = dataset.sequences[record.seq_id]
+        seq = normalize_pose(seqdata.seq, spine_joint=spine)
+        mask = seq.hand_mask().astype(np.float64)
+        length = seq.n_frames
+        prepared = PreparedSequence(
+            seq_id=record.seq_id,
+            label=record.label,
+            length=length,
+            pose_raw=seq.pose_vectors(),
+            pose_aug=augment_pose(seq),
+            motion=motion_stats(seq),
+            features=seqdata.features,
+            hand_mask=np.broadcast_to(mask, (length, 4)).copy(),
+            gt_slot=seqdata.gt_slot,
+            gt_window=seqdata.gt_window,
+        )
+        for value in vars(prepared).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        out[record.seq_id] = prepared
+    return out
 
 
 def _encode_record(manifest: DatasetManifest, record: SequenceRecord, data: SequenceData) -> bytes:

@@ -11,23 +11,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, DatasetError, load_dataset, replacing
+# prepare_sequences is imported for callers of this module: the table lives
+# with Dataset, which reads it through ``Dataset.prepared``.
+from .data import Dataset, DatasetError, PreparedSequence, load_dataset, prepare_sequences, replacing  # noqa: F401
 from .model import CONDITIONINGS, PoseStream, RgbStream, WindowBatch, fuse_logits
 from .nn import AdamState, adam_step, collect_grads, zero_grads
-from .pose import (
-    augment_pose,
-    eval_window_starts,
-    motion_stats,
-    normalize_pose,
-    sample_window,
-    window_indices,
-)
+from .pose import eval_window_starts, sample_window, window_indices
 from .tensor import NumericError, Tape
 
 CONFIG_VERSION = 1
@@ -115,46 +111,6 @@ class RunConfig:
         if overrides:
             d.update(overrides)
         return cls.from_json(d)
-
-
-@dataclass
-class PreparedSequence:
-    """One sequence with all model inputs precomputed on the full length."""
-
-    seq_id: str
-    label: int
-    length: int
-    pose_raw: np.ndarray  # (L, P)
-    pose_aug: np.ndarray  # (L, 3P)
-    motion: np.ndarray  # (L, 2)
-    features: np.ndarray  # (L, 4, D) as stored (f32); batches widen them to f64
-    hand_mask: np.ndarray  # (L, 4) f64
-    gt_slot: np.ndarray | None = None
-    gt_window: np.ndarray | None = None
-
-
-def prepare_sequences(dataset: Dataset) -> dict[str, PreparedSequence]:
-    """Normalize, augment, and flatten every sequence once up front."""
-    spine = dataset.manifest.spine_joint
-    out: dict[str, PreparedSequence] = {}
-    for record in dataset.manifest.records:
-        seqdata = dataset.sequences[record.seq_id]
-        seq = normalize_pose(seqdata.seq, spine_joint=spine)
-        mask = seq.hand_mask().astype(np.float64)
-        length = seq.n_frames
-        out[record.seq_id] = PreparedSequence(
-            seq_id=record.seq_id,
-            label=record.label,
-            length=length,
-            pose_raw=seq.pose_vectors(),
-            pose_aug=augment_pose(seq),
-            motion=motion_stats(seq),
-            features=seqdata.features,
-            hand_mask=np.broadcast_to(mask, (length, 4)).copy(),
-            gt_slot=seqdata.gt_slot,
-            gt_window=seqdata.gt_window,
-        )
-    return out
 
 
 def make_batch(samples: list[PreparedSequence], windows: list[np.ndarray]) -> WindowBatch:
@@ -410,28 +366,51 @@ def train_stream(
 class TrainResult:
     config: RunConfig
     streams: dict[str, TrainedStream]
-    prepared: dict[str, PreparedSequence]
     dataset: Dataset
-    test_acc: dict[str, float] = field(default_factory=dict)
+    test_acc: dict[str, float] = field(default_factory=dict)  # per non-empty split
     test_logits: dict[str, np.ndarray] = field(default_factory=dict)  # per split, one row per id
+
+    @property
+    def prepared(self) -> dict[str, PreparedSequence]:
+        return self.dataset.prepared
 
     def stream_models(self) -> list:
         return [t.stream for t in self.streams.values()]
+
+
+# Thread settings that BLAS and OpenMP read when numpy loads them.
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_setup() -> dict:
+    """The BLAS numpy was built with, the thread variables this process sees
+    (None when unset) and the CPUs it may run on.  The thread count OpenBLAS
+    actually runs is not read: that needs ``threadpoolctl``."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_env": {var: os.environ.get(var) for var in THREAD_ENV},
+        "cpus": len(os.sched_getaffinity(0)),
+    }
 
 
 def run_train(config: RunConfig, dataset: Dataset | None = None) -> TrainResult:
     """Train the configured variant end to end and score it on the test splits,
     keeping each split's logits in ``test_logits``.
 
-    Writes config, dataset hash (``dataset.content_hash``: of the bytes
-    loaded, "" for a dataset built in memory), per-epoch metrics, results,
-    and the best checkpoint into ``config.out_dir`` when it is set.  On a numeric failure
-    the best checkpoint so far is preserved before the error propagates.
+    The model inputs come from ``dataset.prepared``, so runs handed one
+    ``Dataset`` object prepare it once between them; without ``dataset`` the
+    run loads ``config.dataset`` and prepares its own.  Writes config,
+    dataset hash (``dataset.content_hash``: of the bytes loaded, "" for a
+    dataset built in memory), per-epoch metrics, results, the best
+    checkpoint, and wall time with the BLAS setup (``timing.json``) into
+    ``config.out_dir`` when it is set.  On a numeric failure the best
+    checkpoint so far is preserved before the error propagates.
     """
     if dataset is None:
         dataset = load_dataset(config.dataset)
     dims = ModelDims.from_dataset(dataset, config)
-    prepared = prepare_sequences(dataset)
+    prepared = dataset.prepared
     train_ids = dataset.manifest.split_ids("train")
     val_ids = dataset.manifest.split_ids("val")
     if not train_ids or not val_ids:
@@ -439,7 +418,7 @@ def run_train(config: RunConfig, dataset: Dataset | None = None) -> TrainResult:
 
     wanted = {"rgb": config.variant in ("rgb", "two_stream"), "pose": config.variant in ("pose", "two_stream")}
 
-    result = TrainResult(config=config, streams={}, prepared=prepared, dataset=dataset)
+    result = TrainResult(config=config, streams={}, dataset=dataset)
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -473,8 +452,8 @@ def run_train(config: RunConfig, dataset: Dataset | None = None) -> TrainResult:
     models = result.stream_models()
     for split in TEST_SPLITS:
         ids = dataset.manifest.split_ids(split)
+        result.test_logits[split] = predict_logits(models, prepared, ids, config.clip_len)
         if ids:
-            result.test_logits[split] = predict_logits(models, prepared, ids, config.clip_len)
             result.test_acc[split] = accuracy(result.test_logits[split], prepared, ids)
 
     if out_dir:
@@ -484,7 +463,7 @@ def run_train(config: RunConfig, dataset: Dataset | None = None) -> TrainResult:
             f.write(json.dumps({"test_acc": result.test_acc, "best": best}, indent=2, sort_keys=True))
         # Wall-clock lives outside metrics.csv so reruns stay bitwise comparable.
         with replacing(out_dir / "timing.json") as f:
-            f.write(json.dumps({"train_seconds": wall}))
+            f.write(json.dumps({"train_seconds": wall} | blas_setup()))
         save_checkpoint(out_dir / "checkpoint.bin", config, dims, result)
     return result
 
@@ -619,14 +598,18 @@ def dump_attention(
     prepared: dict[str, PreparedSequence],
     ids: list[str],
     clip_len: int,
+    logits: np.ndarray,
     out_path: str | Path | None = None,
 ) -> list[dict]:
     """Per-sequence attention record over the first eval window, plus the
-    prediction from the full protocol.  JSON-lines when ``out_path`` is set."""
+    prediction from ``logits``: the caller's full-protocol logits of
+    ``streams``, one row per id, as ``predict_logits`` returns them.
+    JSON-lines when ``out_path`` is set."""
     rgb = next((s for s in streams if isinstance(s, RgbStream)), None)
     if rgb is None:
         raise ValueError("attention dumps need an RGB stream")
-    logits = predict_logits(streams, prepared, ids, clip_len)
+    if len(logits) != len(ids):
+        raise ValueError(f"dump_attention: {len(logits)} logit rows for {len(ids)} sequences")
     records = []
     for lo in range(0, len(ids), EVAL_CHUNK):
         chunk_ids = ids[lo : lo + EVAL_CHUNK]

@@ -3,13 +3,16 @@ import dataclasses
 import errno
 import io
 import json
+import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import poseattn.ablation as ablation
+import poseattn.data
 import poseattn.training as training
 from poseattn.ablation import (
     GRID_ROWS,
@@ -175,14 +178,16 @@ def test_two_stream_mode_fuses_with_shared_pose(tiny_dataset_path, tmp_path, mon
 
 
 def test_two_stream_grid_scores_the_pose_stream_once_per_split(tiny_dataset_path, tmp_path, monkeypatch):
-    from poseattn.model import PoseStream
+    from poseattn.model import PoseStream, RgbStream
 
     pose_scored = []  # split ids of every predict_logits call that runs a pose stream
+    rgb_scored = []  # (stream, split ids) per RGB stream a predict_logits call runs; keeps each alive
     real = training.predict_logits
 
     def counting(streams, prepared, ids, clip_len, chunk=training.EVAL_CHUNK):
         if any(isinstance(s, PoseStream) for s in streams):
             pose_scored.append(tuple(ids))
+        rgb_scored.extend((s, tuple(ids)) for s in streams if isinstance(s, RgbStream))
         return real(streams, prepared, ids, clip_len, chunk=chunk)
 
     loaded = []
@@ -200,9 +205,32 @@ def test_two_stream_grid_scores_the_pose_stream_once_per_split(tiny_dataset_path
     assert [c.status for c in results] == ["ok", "ok"]
     manifest = training.load_dataset(tiny_dataset_path).manifest
     for split in ablation.TEST_SPLITS:
+        ids = tuple(manifest.split_ids(split))
         # Only by the pose run's own test evaluation: fusion reuses those logits.
-        assert pose_scored.count(tuple(manifest.split_ids(split))) == 1, split
+        assert pose_scored.count(ids) == 1, split
+        # Only by each cell's own test evaluation: its dump reuses those logits.
+        per_rgb = Counter(id(stream) for stream, scored in rgb_scored if scored == ids)
+        assert sorted(per_rgb.values()) == [1, 1], split
     assert loaded == []  # fusion and dumps use the streams held in memory
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_grid_prepares_its_dataset_once_before_any_cell(tiny_dataset_path, tmp_path, monkeypatch, workers):
+    calls = tmp_path / "prepare_calls.txt"  # one line per call, by the pid that made it
+    real = poseattn.data.prepare_sequences
+
+    def counting(dataset):
+        with open(calls, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(dataset)
+
+    monkeypatch.setattr(poseattn.data, "prepare_sequences", counting)  # forked workers inherit it
+    results = run_ablation(
+        base_config(tiny_dataset_path), seeds=[0], out_dir=tmp_path / "grid", rows=["sum", "sa_pose"],
+        two_stream=True, workers=workers, attention_dumps=True,
+    )
+    assert [c.status for c in results] == ["ok", "ok"]
+    assert calls.read_text().split() == [str(os.getpid())]
 
 
 def test_two_stream_grid_fuses_exactly_the_reloaded_streams(tiny_dataset_path, tmp_path):
@@ -228,10 +256,10 @@ def test_two_stream_grid_fuses_exactly_the_reloaded_streams(tiny_dataset_path, t
 def test_failed_dump_fails_only_its_cell(tiny_dataset_path, tmp_path, monkeypatch):
     real = ablation.dump_attention
 
-    def dump_or_raise(streams, prepared, ids, clip_len, out_path=None):
+    def dump_or_raise(streams, prepared, ids, clip_len, logits, out_path=None):
         if Path(out_path).parent.name == "sa_pose-seed0":
             raise ValueError("dump went wrong")
-        return real(streams, prepared, ids, clip_len, out_path=out_path)
+        return real(streams, prepared, ids, clip_len, logits, out_path=out_path)
 
     monkeypatch.setattr(ablation, "dump_attention", dump_or_raise)
     out = tmp_path / "grid"

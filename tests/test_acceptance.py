@@ -175,7 +175,8 @@ def test_criterion_4_spatial_mechanism_efficacy(workdir):
 
     ids = sa.dataset.manifest.split_ids("test_seeds")
     records = dump_attention(
-        [sa.streams["rgb"].stream], sa.prepared, ids, 20, out_path=workdir / "ah_attention.jsonl"
+        [sa.streams["rgb"].stream], sa.prepared, ids, 20, sa.test_logits["test_seeds"],
+        out_path=workdir / "ah_attention.jsonl",
     )
     masses = []
     for rec in records:
@@ -210,7 +211,7 @@ def test_criterion_5_temporal_mechanism_efficacy(workdir):
     acc = {name: mean_acc(r.test_acc) for name, r in [("ta", ta), ("avg", avg), ("last", last)]}
 
     ids = ta.dataset.manifest.split_ids("test_seeds")
-    records = dump_attention([ta.streams["rgb"].stream], ta.prepared, ids, 20)
+    records = dump_attention([ta.streams["rgb"].stream], ta.prepared, ids, 20, ta.test_logits["test_seeds"])
     window_mass = float(
         np.mean(
             [np.asarray(r["p_prime"])[r["gt_window"][0] : r["gt_window"][1]].sum() for r in records]

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +236,28 @@ class TestTraining:
         assert (out / "result.json").exists()
         assert (out / "timing.json").exists()
 
+    def test_timing_records_the_blas_setup_outside_the_compared_files(
+        self, tiny_dataset_path, tmp_path, monkeypatch
+    ):
+        runs = []
+        for omp in (None, "3"):
+            for var in training.THREAD_ENV:
+                monkeypatch.delenv(var, raising=False)
+            if omp is not None:
+                monkeypatch.setenv("OMP_NUM_THREADS", omp)
+            out = tmp_path / "run"  # the checkpoint header holds out_dir
+            run_train(tiny_config(tiny_dataset_path, max_epochs=1, out_dir=str(out)))
+            timing = json.loads((out / "timing.json").read_text())
+            assert set(timing) == {"train_seconds", "blas", "thread_env", "cpus"}
+            assert set(timing["blas"]) == {"name", "version"}
+            assert timing["blas"]["name"] and timing["blas"]["version"]
+            assert timing["thread_env"] == {
+                "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": omp, "MKL_NUM_THREADS": None,
+            }
+            assert timing["cpus"] == len(os.sched_getaffinity(0))
+            runs.append({name: (out / name).read_bytes() for name in ("metrics.csv", "result.json", "checkpoint.bin")})
+        assert runs[0] == runs[1]
+
     def test_run_train_opens_the_dataset_file_once(self, tiny_dataset_path, tmp_path, monkeypatch):
         opened = []
 
@@ -426,6 +450,45 @@ class TestPrepare:
         assert sample.features.shape == (length, 4, 16)
         assert sample.hand_mask.shape == (length, 4)
 
+    def test_prepared_table_is_read_only_and_shares_the_features(self, tiny_dataset_path):
+        dataset = load_dataset(tiny_dataset_path)
+        prepared = dataset.prepared
+        assert prepared is dataset.prepared
+        for seq_id, sample in prepared.items():
+            assert sample.features is dataset.sequences[seq_id].features
+            for name in ("pose_raw", "pose_aug", "motion", "features", "hand_mask"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(sample, name)[0] += 1
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.sequences[seq_id].features[:] = 0.0
+
+    def test_runs_on_one_dataset_prepare_once_and_match_separate_loads(
+        self, tiny_dataset_path, tmp_path, monkeypatch
+    ):
+        calls = []
+        real = poseattn.data.prepare_sequences
+        monkeypatch.setattr(poseattn.data, "prepare_sequences", lambda d: calls.append(d) or real(d))
+        # The checkpoint header holds out_dir, so both sides write to the same one.
+        configs = [
+            tiny_config(tiny_dataset_path, variant=variant, max_epochs=1, out_dir=str(tmp_path / variant))
+            for variant in ("rgb", "two_stream")
+        ]
+        files = ("metrics.csv", "result.json", "checkpoint.bin")
+
+        def outputs(config):
+            return [(Path(config.out_dir) / name).read_bytes() for name in files]
+
+        shared = load_dataset(tiny_dataset_path)
+        on_shared = []
+        for config in configs:
+            run_train(config, dataset=shared)
+            on_shared.append(outputs(config))
+        assert len(calls) == 1 and calls[0] is shared
+        for config, expected in zip(configs, on_shared):
+            run_train(config)  # loads and prepares a copy of its own
+            assert outputs(config) == expected, config.variant
+        assert len(calls) == 3
+
     def test_dims_from_dataset(self, tiny_dataset_path):
         from poseattn.data import load_dataset
 
@@ -506,7 +569,11 @@ class TestFrameTable:
         stream = _off_uniform_rgb_stream(config, ModelDims.from_dataset(dataset, config), 6)
         ids = dataset.manifest.split_ids("test_seeds") + dataset.manifest.split_ids("test_pool")
         assert len(ids) > training.EVAL_CHUNK  # the dump crosses a chunk boundary
-        records = training.dump_attention([stream], prepared, ids, config.clip_len)
+        logits = predict_logits([stream], prepared, ids, config.clip_len)
+        records = training.dump_attention([stream], prepared, ids, config.clip_len, logits)
+        assert [rec["predicted"] for rec in records] == logits.argmax(axis=1).tolist()
+        with pytest.raises(ValueError, match="9 logit rows for 10 sequences"):
+            training.dump_attention([stream], prepared, ids[:10], config.clip_len, logits[:9])
         for seq_id, rec in zip(ids, records):
             s = prepared[seq_id]
             window = np.array(rec["frames"])
