@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -89,20 +89,11 @@ def _add_checkpoint_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-_CONFIG_KEYS = (
-    "dataset", "variant", "conditioning", "use_temporal", "pooling",
-    "clip_len", "feat_dim", "rgb_hidden", "pose_hidden", "pose_layers",
-    "attn_hidden", "temporal_hidden", "lr", "batch_size", "dropout",
-    "max_epochs", "patience", "seed",
-)
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {}
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    """The config file (or the defaults) with every given flag that names a
+    ``RunConfig`` field laid over it, and ``--out`` as ``out_dir``."""
+    names = {f.name for f in fields(RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in names and v is not None}
     if getattr(args, "out", None):
         overrides["out_dir"] = str(_out_path(args.out))
     if args.config:

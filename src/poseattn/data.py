@@ -42,11 +42,14 @@ class VersionError(DatasetError):
 
 
 class TruncationError(DatasetError):
-    """The file ends inside the header or a record block."""
+    """The file ends inside its header or a block: a dataset record or a
+    checkpoint parameter."""
 
 
 class ChecksumError(DatasetError):
-    """A record block's CRC32 or label does not match its manifest entry."""
+    """Stored bytes do not match the CRC32 kept for them: a dataset record
+    block (or its label, against the manifest), or a checkpoint's header or
+    parameter block."""
 
 
 class ManifestError(DatasetError):
@@ -166,7 +169,7 @@ class PreparedSequence:
     pose_raw: np.ndarray  # (L, P)
     pose_aug: np.ndarray  # (L, 3P)
     motion: np.ndarray  # (L, 2)
-    features: np.ndarray  # (L, 4, D) the dataset's own f32 array; batches widen them to f64
+    features: np.ndarray | None  # (L, 4, D) the dataset's own f32 array, or None; batches widen to f64
     hand_mask: np.ndarray  # (L, 4) f64
     gt_slot: np.ndarray | None = None
     gt_window: np.ndarray | None = None

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import time
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +21,10 @@ import numpy as np
 
 # prepare_sequences is imported for callers of this module: the table lives
 # with Dataset, which reads it through ``Dataset.prepared``.
-from .data import Dataset, DatasetError, PreparedSequence, load_dataset, prepare_sequences, replacing  # noqa: F401
+from .data import (  # noqa: F401
+    ChecksumError, Dataset, DatasetError, PreparedSequence, TruncationError, VersionError,
+    load_dataset, prepare_sequences, replacing,
+)
 from .model import CONDITIONINGS, PoseStream, RgbStream, WindowBatch, fuse_logits
 from .nn import AdamState, adam_step, collect_grads, zero_grads
 from .pose import eval_window_starts, sample_window, window_indices
@@ -118,7 +122,8 @@ def make_batch(samples: list[PreparedSequence], windows: list[np.ndarray]) -> Wi
 
     Each distinct (sample, frame) is copied into the f64 table once, in order
     of first appearance, so a batch whose frames are all distinct gets
-    ``frames == arange(B*T).reshape(B, T)``.
+    ``frames == arange(B*T).reshape(B, T)``.  ``features`` stays None when
+    the samples have none.
     """
     distinct_samples = list({id(s): s for s in samples}.values())  # in order of first appearance
     number = {id(s): i for i, s in enumerate(distinct_samples)}
@@ -150,7 +155,7 @@ def make_batch(samples: list[PreparedSequence], windows: list[np.ndarray]) -> Wi
         hand_mask=table("hand_mask"),
         frames=row[inverse.reshape(-1)].reshape(keys.shape),
         labels=np.array([s.label for s in samples]),
-        features=table("features"),
+        features=table("features") if samples[0].features is not None else None,
     )
 
 
@@ -164,6 +169,8 @@ class ModelDims:
     @classmethod
     def from_dataset(cls, dataset: Dataset, config: RunConfig) -> "ModelDims":
         manifest = dataset.manifest
+        if config.variant != "pose" and not manifest.has_features:
+            raise DatasetError(f"dataset {config.dataset!r} has no hand features, needed by {config.variant} runs")
         if config.feat_dim != manifest.feature_dim:
             raise DatasetError(
                 f"config feat_dim {config.feat_dim} != dataset feature dim {manifest.feature_dim}"
@@ -215,6 +222,12 @@ _STREAM_TAG = {"rgb": 11, "pose": 13}
 TEST_SPLITS = ("test_seeds", "test_pool")
 # Sequences per eval forward: five windows each in predict_logits, one in dump_attention.
 EVAL_CHUNK = 16
+
+
+def _fresh_stream(name: str, config: RunConfig, dims: ModelDims):
+    """Stream ``name`` ("pose" or "rgb") at its seeded initial parameters."""
+    build = build_pose_stream if name == "pose" else build_rgb_stream
+    return build(config, dims, _rng(config.seed, _STREAM_TAG[name], 0))
 
 
 def evaluate(
@@ -280,7 +293,6 @@ class EpochRow:
 class TrainedStream:
     name: str
     stream: object
-    adam: AdamState
     rows: list[EpochRow]
     best_epoch: int
     best_val_acc: float
@@ -351,15 +363,10 @@ def train_stream(
         partial = None
         if best_snapshot:
             restore_best()
-            partial = TrainedStream(
-                name=name, stream=stream, adam=adam, rows=rows,
-                best_epoch=best_epoch, best_val_acc=best_val,
-            )
+            partial = TrainedStream(name, stream, rows, best_epoch, best_val)
         raise TrainingAborted(str(e), partial) from e
     restore_best()
-    return TrainedStream(
-        name=name, stream=stream, adam=adam, rows=rows, best_epoch=best_epoch, best_val_acc=best_val
-    )
+    return TrainedStream(name, stream, rows, best_epoch, best_val)
 
 
 @dataclass
@@ -416,8 +423,6 @@ def run_train(config: RunConfig, dataset: Dataset | None = None) -> TrainResult:
     if not train_ids or not val_ids:
         raise DatasetError("dataset needs non-empty train and val splits")
 
-    wanted = {"rgb": config.variant in ("rgb", "two_stream"), "pose": config.variant in ("pose", "two_stream")}
-
     result = TrainResult(config=config, streams={}, dataset=dataset)
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir:
@@ -430,16 +435,10 @@ def run_train(config: RunConfig, dataset: Dataset | None = None) -> TrainResult:
     t0 = time.monotonic()
     try:
         # Streams are trained separately, then fused only at evaluation time.
-        if wanted["pose"]:
-            stream = build_pose_stream(config, dims, _rng(config.seed, _STREAM_TAG["pose"], 0))
-            result.streams["pose"] = train_stream(
-                "pose", stream, config, prepared, train_ids, val_ids
-            )
-        if wanted["rgb"]:
-            stream = build_rgb_stream(config, dims, _rng(config.seed, _STREAM_TAG["rgb"], 0))
-            result.streams["rgb"] = train_stream(
-                "rgb", stream, config, prepared, train_ids, val_ids
-            )
+        for name in ("pose", "rgb"):
+            if config.variant in (name, "two_stream"):
+                stream = _fresh_stream(name, config, dims)
+                result.streams[name] = train_stream(name, stream, config, prepared, train_ids, val_ids)
     except NumericError as e:
         # Preserve the best state reached before the numeric failure.
         if isinstance(e, TrainingAborted) and e.partial is not None:
@@ -480,39 +479,23 @@ def _write_metrics(path: Path, result: TrainResult) -> None:
 
 
 CHECKPOINT_MAGIC = b"POSECKP1"
-# Version 2 stores each GRU's gates stacked (W, U, b); version 1 stored them
-# as nine per-gate tensors.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
-# After the header, the payload is one block per array: u32 rank, u32
-# extents, then the little-endian f64 values.  Per stream, in name order:
-# every parameter in name order, then Adam's m and v for each.
-
-
-def _write_array(f, arr: np.ndarray) -> None:
-    f.write(np.asarray((arr.ndim, *arr.shape), dtype="<u4").tobytes())
-    f.write(np.ascontiguousarray(arr, dtype="<f8").reshape(-1))
-
-
-def _read_array(f, path, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Read one payload block, which must hold an array of ``shape``."""
-    head = f.read(4 * (1 + len(shape)))
-    if len(head) < 4 * (1 + len(shape)):
-        raise DatasetError(f"{path}: checkpoint truncated at {name}")
-    ndim, *extents = (int(x) for x in np.frombuffer(head, "<u4"))
-    if ndim != len(shape) or tuple(extents) != shape:
-        raise DatasetError(f"{path}: checkpoint {name}: stored rank {ndim} shape {tuple(extents)} != {shape}")
-    arr = np.empty(shape, dtype="<f8")
-    if f.readinto(memoryview(arr.reshape(-1)).cast("B")) < arr.nbytes:
-        raise DatasetError(f"{path}: checkpoint truncated in {name}")
-    return arr
+# Magic, u64 header length, JSON header (with each parameter's shape and the
+# CRC32 of its block), the header's u32 CRC32, then one raw little-endian f64
+# block per parameter: per stream in name order, each parameter in name order.
 
 
 def save_checkpoint(
     path: str | Path, config: RunConfig, dims: ModelDims, result: TrainResult, partial: bool = False
 ) -> None:
-    # Streams in name order, the order of the sorted header that the loader walks.
-    streams = {name: (trained, trained.stream.parameters()) for name, trained in sorted(result.streams.items())}
+    """Write the streams' parameters, which are the best epoch's once
+    ``train_stream`` has returned, with what it takes to rebuild them."""
+    # Streams and parameters in name order, the order the loader reads them in.
+    arrays = {
+        name: {k: np.ascontiguousarray(p.data, dtype="<f8") for k, p in sorted(t.stream.parameters().items())}
+        for name, t in sorted(result.streams.items())
+    }
     header = json.dumps(
         {
             "version": CHECKPOINT_VERSION,
@@ -522,12 +505,13 @@ def save_checkpoint(
             "dataset_hash": result.dataset.content_hash,
             "streams": {
                 name: {
-                    "params": sorted(params),
-                    "adam_step": trained.adam.step,
+                    "params": {
+                        k: {"shape": list(a.shape), "crc32": zlib.crc32(a)} for k, a in arrays[name].items()
+                    },
                     "best_epoch": trained.best_epoch,
                     "best_val_acc": trained.best_val_acc,
                 }
-                for name, (trained, params) in streams.items()
+                for name, trained in result.streams.items()
             },
         },
         sort_keys=True,
@@ -537,59 +521,72 @@ def save_checkpoint(
         f.write(CHECKPOINT_MAGIC)
         f.write(len(header).to_bytes(8, "little"))
         f.write(header)
-        for trained, params in streams.values():
-            order = sorted(params)
-            for pname in order:
-                _write_array(f, params[pname].data)
-            for pname in order:
-                _write_array(f, trained.adam.m.get(pname, np.zeros_like(params[pname].data)))
-                _write_array(f, trained.adam.v.get(pname, np.zeros_like(params[pname].data)))
+        f.write(zlib.crc32(header).to_bytes(4, "little"))
+        for blocks in arrays.values():
+            for a in blocks.values():
+                f.write(a)
 
 
 def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, dict]]:
-    """Rebuild stream models and optimizer state from a checkpoint file."""
+    """Rebuild the stream models a checkpoint holds.  The header must list
+    exactly each stream's parameters at their shapes, every block must match
+    its CRC32, and the file must end there; else a ``DatasetError`` names it."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def left(n: int, what: str) -> None:
+            if n > size - f.tell():
+                raise TruncationError(f"{path}: checkpoint ends inside {what}")
+
+        def read(n: int, what: str) -> bytes:
+            left(n, what)
+            return f.read(n)
+
         if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise DatasetError(f"{path}: not a checkpoint file")
-        header_len = int.from_bytes(f.read(8), "little")
-        header = f.read(header_len)
+            raise VersionError(f"{path}: not a checkpoint file")
+        header = read(int.from_bytes(read(8, "the header length"), "little"), "the header")
+        header_crc = int.from_bytes(read(4, "the header checksum"), "little")
         try:
-            meta = json.loads(header.decode())
-        except ValueError as e:
-            raise DatasetError(f"{path}: checkpoint header is truncated or corrupt: {e}") from e
-        if meta["version"] == 1:
-            raise DatasetError(
-                f"{path}: checkpoint version 1 stores each GRU as nine per-gate tensors; "
-                f"GRU gates are now stacked (version {CHECKPOINT_VERSION}), so retrain the model"
+            version = json.loads(header)["version"]
+        except (ValueError, TypeError, KeyError):
+            version = None  # not a header this program wrote: the checksum rejects it
+        if version not in (None, CHECKPOINT_VERSION):
+            raise VersionError(
+                f"{path}: checkpoint version {version} != {CHECKPOINT_VERSION}; retrain the model to write one"
             )
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise DatasetError(f"{path}: checkpoint version {meta['version']} != {CHECKPOINT_VERSION}")
+        if zlib.crc32(header) != header_crc:
+            raise ChecksumError(f"{path}: checkpoint header checksum mismatch")
+        meta = json.loads(header)
         config = RunConfig.from_json(meta["config"])
         dims = ModelDims(**meta["dims"])
         streams: dict[str, dict] = {}
-        for name, smeta in meta["streams"].items():
-            if name == "pose":
-                stream = build_pose_stream(config, dims, _rng(config.seed, _STREAM_TAG["pose"], 0))
-            else:
-                stream = build_rgb_stream(config, dims, _rng(config.seed, _STREAM_TAG["rgb"], 0))
-            params = stream.parameters()
-            unknown = set(smeta["params"]) - set(params)
-            if unknown:
-                raise DatasetError(f"{path}: checkpoint {name} stream has unknown parameters {sorted(unknown)}")
-            adam = AdamState(lr=config.lr, step=smeta["adam_step"])
-            for pname in smeta["params"]:
-                params[pname].data = _read_array(f, path, pname, params[pname].data.shape)
-            for pname in smeta["params"]:
-                shape = params[pname].data.shape
-                adam.m[pname] = _read_array(f, path, f"{pname} (adam m)", shape)
-                adam.v[pname] = _read_array(f, path, f"{pname} (adam v)", shape)
+        for name, smeta in sorted(meta["streams"].items()):
+            stream = _fresh_stream(name, config, dims)
+            params, stored = stream.parameters(), smeta["params"]
+            if set(params) != set(stored):
+                raise DatasetError(
+                    f"{path}: checkpoint {name} stream lacks parameters {sorted(set(params) - set(stored))} "
+                    f"and has unknown ones {sorted(set(stored) - set(params))}"
+                )
+            for pname in sorted(params):
+                what = f"{name} stream parameter {pname}"
+                arr = np.empty(params[pname].data.shape)
+                if tuple(stored[pname]["shape"]) != arr.shape:
+                    raise DatasetError(f"{path}: checkpoint {what}: shape {stored[pname]['shape']} != {arr.shape}")
+                block = memoryview(arr).cast("B")
+                left(len(block), what)
+                f.readinto(block)
+                if zlib.crc32(block) != stored[pname]["crc32"]:
+                    raise ChecksumError(f"{path}: checkpoint {what}: checksum mismatch")
+                params[pname].data = arr
             streams[name] = {
                 "stream": stream,
-                "adam": adam,
                 "best_epoch": smeta["best_epoch"],
                 "best_val_acc": smeta["best_val_acc"],
                 "dataset_hash": meta["dataset_hash"],
             }
+        if f.tell() != size:
+            raise DatasetError(f"{path}: {size - f.tell()} trailing bytes after the last checkpoint block")
     return config, dims, streams
 
 

@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from poseattn.cli import main
-from poseattn.data import dataset_content_hash
+from poseattn.cli import _config_from_args, build_parser, main
+from poseattn.data import dataset_content_hash, load_dataset, save_dataset
+from poseattn.training import RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +165,38 @@ def test_checkpoint_against_other_dataset_is_data_error_unless_allowed(dataset_p
     assert main(["eval"] + ckpt + ["--allow-other-dataset"]) == 0
     assert main(["dump-attention"] + ckpt + dump + ["--allow-other-dataset"]) == 0
     assert len((tmp_path / "attn.jsonl").read_text().splitlines()) == 3
+
+
+def test_featureless_dataset_trains_pose_and_rejects_rgb_as_data_error(dataset_path, tmp_path, capsys):
+    dataset = load_dataset(dataset_path)
+    dataset.manifest.has_features = False
+    for seq in dataset.sequences.values():
+        seq.features = None
+    bare = tmp_path / "bare.bin"
+    save_dataset(bare, dataset)
+    argv = ["train", "--dataset", str(bare), "--out", str(tmp_path / "run"), "--pose-hidden", "8"] + TRAIN_FLAGS
+    assert main(argv + ["--variant", "pose"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--variant", "rgb"]) == 2
+    assert str(bare) in capsys.readouterr().err
+
+
+def test_every_config_flag_sets_its_field(tmp_path):
+    flags = {
+        "--dataset": "d.bin", "--variant": "pose", "--conditioning": "both", "--pooling": "last",
+        "--clip-len": "7", "--feat-dim": "9", "--rgb-hidden": "3", "--pose-hidden": "4",
+        "--pose-layers": "2", "--attn-hidden": "5", "--temporal-hidden": "6", "--lr": "0.5",
+        "--batch-size": "2", "--dropout": "0.25", "--max-epochs": "8", "--patience": "3", "--seed": "11",
+    }
+    argv = ["train", *(x for pair in flags.items() for x in pair), "--no-temporal", "--out", str(tmp_path)]
+    config = _config_from_args(build_parser().parse_args(argv)).to_json()
+    default = RunConfig().to_json()
+    assert {k for k in config if config[k] != default[k]} == {
+        "dataset", "variant", "conditioning", "use_temporal", "pooling", "clip_len", "feat_dim",
+        "rgb_hidden", "pose_hidden", "pose_layers", "attn_hidden", "temporal_hidden", "lr",
+        "batch_size", "dropout", "max_epochs", "patience", "seed", "out_dir",
+    }
+    assert config["out_dir"] == str(tmp_path) and config["lr"] == 0.5 and config["clip_len"] == 7
 
 
 def test_gradcheck_command(capsys):

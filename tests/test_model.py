@@ -459,8 +459,9 @@ class TestPoseStream:
         assert abs(loss.item() - np.log(5)) < 1e-12
 
 
-# Checkpoints store parameters by these names: a change here breaks loading
-# checkpoints written at CHECKPOINT_VERSION 2.
+# Checkpoints store parameters by these names, and the loader requires a
+# header to list exactly them: a change here breaks loading checkpoints
+# written at CHECKPOINT_VERSION 3.
 _ATTN = ["attn.l0.W", "attn.l0.b", "attn.l1.W", "attn.l1.b"]
 _GRU = ["gru.W", "gru.U", "gru.b"]
 _TEMPORAL = ["temporal.l0.W", "temporal.l0.b", "temporal.l1.W", "temporal.l1.b"]

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import re
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 import poseattn.data
 import poseattn.training as training
-from poseattn.data import DatasetError, dataset_content_hash, load_dataset, save_dataset
+from poseattn.data import ChecksumError, DatasetError, dataset_content_hash, load_dataset, save_dataset
 from poseattn.model import CONDITIONINGS, StreamOutput
 from poseattn.pose import eval_window_starts, window_indices
 from poseattn.synth import SyntheticSpec, generate
@@ -32,6 +34,18 @@ TINY = dict(counts=(40, 10, 10))
 def tiny_dataset_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "tiny.bin"
     save_dataset(path, generate(SyntheticSpec(kind="active_hand", seed=0, **TINY)))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def featureless_dataset_path(tmp_path_factory):
+    """The tiny dataset saved without hand features (manifest has_features false)."""
+    dataset = generate(SyntheticSpec(kind="active_hand", seed=0, **TINY))
+    dataset.manifest.has_features = False
+    for seq in dataset.sequences.values():
+        seq.features = None
+    path = tmp_path_factory.mktemp("data") / "featureless.bin"
+    save_dataset(path, dataset)
     return str(path)
 
 
@@ -186,6 +200,17 @@ class TestTraining:
         with pytest.raises(DatasetError, match="feat_dim"):
             run_train(config)
 
+    def test_featureless_dataset_trains_the_pose_stream(self, featureless_dataset_path):
+        result = run_train(tiny_config(featureless_dataset_path, variant="pose", max_epochs=1))
+        assert "test_seeds" in result.test_acc
+        samples = list(result.prepared.values())[:2]
+        assert training.make_batch(samples, [np.arange(5)] * 2).features is None
+
+    @pytest.mark.parametrize("variant", ["rgb", "two_stream"])
+    def test_featureless_dataset_rejects_rgb_runs_naming_the_file(self, featureless_dataset_path, variant):
+        with pytest.raises(DatasetError, match=rf"{re.escape(featureless_dataset_path)}.*hand features"):
+            run_train(tiny_config(featureless_dataset_path, variant=variant))
+
     def test_nan_gradient_aborts_preserving_checkpoint(
         self, tiny_dataset_path, tmp_path, monkeypatch
     ):
@@ -287,7 +312,6 @@ class TestCheckpoint:
         ids = result.dataset.manifest.split_ids("test_seeds")
         acc = evaluate([streams["rgb"]["stream"]], result.prepared, ids, config.clip_len)
         assert acc == result.test_acc["test_seeds"]
-        assert streams["rgb"]["adam"].step == result.streams["rgb"].adam.step
 
     def test_failed_save_keeps_previous_checkpoint(self, tiny_dataset_path, tmp_path, monkeypatch):
         out = tmp_path / "ck"
@@ -297,7 +321,7 @@ class TestCheckpoint:
         good = path.read_bytes()
 
         class TornWrite:
-            """File whose fourth write (the first payload block) stops halfway with an error."""
+            """File whose fifth write (the first payload block) stops halfway with an error."""
 
             def __init__(self, f):
                 self.f, self.writes = f, 0
@@ -310,7 +334,7 @@ class TestCheckpoint:
 
             def write(self, data):
                 self.writes += 1
-                if self.writes == 4:
+                if self.writes == 5:
                     self.f.write(data[: len(data) // 2])
                     raise OSError("injected: disk full")
                 return self.f.write(data)
@@ -323,27 +347,31 @@ class TestCheckpoint:
         assert path.read_bytes() == good
         assert sorted(p.name for p in out.iterdir() if "checkpoint" in p.name) == ["checkpoint.bin"]
 
-    def test_file_is_header_then_one_block_per_array(self, tiny_dataset_path, tmp_path):
+    def test_file_is_header_then_one_block_per_parameter(self, tiny_dataset_path, tmp_path):
         # The layout, rebuilt here from the trained streams: magic, u64 header
-        # length, JSON header; then per stream every parameter in name order,
-        # then Adam's m and v for each, each block u32 rank, u32 extents, f64 values.
+        # length, JSON header, its u32 CRC32; then per stream every parameter
+        # in name order as raw f64, each listed in the header with its shape
+        # and CRC32.
         out = tmp_path / "ck"
         config = tiny_config(tiny_dataset_path, variant="two_stream", max_epochs=1, out_dir=str(out))
         result = run_train(config)
         blob = (out / "checkpoint.bin").read_bytes()
         n = int.from_bytes(blob[8:16], "little")
         meta = json.loads(blob[16 : 16 + n])
-        assert blob[:8] == training.CHECKPOINT_MAGIC and meta["version"] == 2
-        expected = bytearray(blob[: 16 + n])
+        assert blob[:8] == training.CHECKPOINT_MAGIC and meta["version"] == 3
+        assert list(meta["streams"]) == ["pose", "rgb"]
+        expected = bytearray(blob[: 16 + n]) + zlib.crc32(blob[16 : 16 + n]).to_bytes(4, "little")
+        n_values = 0
         for name, smeta in meta["streams"].items():
-            trained = result.streams[name]
-            params = trained.stream.parameters()
-            assert smeta["params"] == sorted(params)
-            arrays = [params[k].data for k in smeta["params"]]
-            arrays += [a for k in smeta["params"] for a in (trained.adam.m[k], trained.adam.v[k])]
-            for a in arrays:
-                expected += np.asarray([a.ndim, *a.shape], "<u4").tobytes() + a.astype("<f8").tobytes()
+            params = result.streams[name].stream.parameters()
+            assert list(smeta["params"]) == sorted(params)
+            for k, stored in smeta["params"].items():
+                block = params[k].data.astype("<f8").tobytes()
+                assert stored == {"shape": list(params[k].data.shape), "crc32": zlib.crc32(block)}
+                expected += block
+                n_values += params[k].data.size
         assert blob == bytes(expected)
+        assert len(blob) == 16 + n + 4 + 8 * n_values
 
     def test_truncated_checkpoint_names_file_and_parameter(self, tiny_dataset_path, tmp_path):
         out = tmp_path / "ck"
@@ -353,23 +381,24 @@ class TestCheckpoint:
         cut = tmp_path / "cut.bin"
         for size, field in (
             (header_end + 10, r"attn\.l0\.W"),  # first parameter, in name order
-            (len(blob) - 1, r"head\.b \(adam v\)"),  # last block
+            (len(blob) - 1, r"head\.b"),  # last block
             (header_end - 5, "header"),
         ):
             cut.write_bytes(blob[:size])
             with pytest.raises(DatasetError, match=rf"cut\.bin.*{field}"):
                 load_checkpoint(cut)
 
-    def test_version_1_checkpoint_rejected_as_unstacked(self, tiny_dataset_path, tmp_path):
+    def test_version_2_checkpoint_rejected_with_retrain(self, tiny_dataset_path, tmp_path):
+        # Version 2 had no header checksum and held Adam's moments.
         out = tmp_path / "ck"
         run_train(tiny_config(tiny_dataset_path, max_epochs=1, out_dir=str(out)))
         blob = (out / "checkpoint.bin").read_bytes()
         header_end = 16 + int.from_bytes(blob[8:16], "little")
         meta = json.loads(blob[16:header_end])
-        header = json.dumps({**meta, "version": 1}, sort_keys=True).encode()
-        old = tmp_path / "v1.bin"
-        old.write_bytes(blob[:8] + len(header).to_bytes(8, "little") + header + blob[header_end:])
-        with pytest.raises(DatasetError, match=r"v1\.bin.*version 1.*stacked.*retrain"):
+        header = json.dumps({**meta, "version": 2}, sort_keys=True).encode()
+        old = tmp_path / "v2.bin"
+        old.write_bytes(blob[:8] + len(header).to_bytes(8, "little") + header + blob[header_end + 4 :])
+        with pytest.raises(DatasetError, match=r"v2\.bin.*version 2.*retrain"):
             load_checkpoint(old)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -377,6 +406,85 @@ class TestCheckpoint:
         path.write_bytes(b"garbage!" * 4)
         with pytest.raises(DatasetError, match="checkpoint"):
             load_checkpoint(path)
+
+
+@pytest.fixture(scope="module", params=["rgb", "two_stream"])
+def checkpoint_blob(request, tiny_dataset_path, tmp_path_factory):
+    out = tmp_path_factory.mktemp(request.param)
+    run_train(tiny_config(tiny_dataset_path, variant=request.param, max_epochs=1, out_dir=str(out)))
+    return (out / "checkpoint.bin").read_bytes()
+
+
+def checkpoint_layout(blob):
+    """The header, where it ends, and (stream, parameter, start, end) of every block."""
+    header_end = 16 + int.from_bytes(blob[8:16], "little")
+    meta = json.loads(blob[16:header_end])
+    pos, blocks = header_end + 4, []
+    for name, smeta in sorted(meta["streams"].items()):
+        for pname, stored in sorted(smeta["params"].items()):
+            nbytes = 8 * int(np.prod(stored["shape"]))
+            blocks.append((name, pname, pos, pos + nbytes))
+            pos += nbytes
+    assert pos == len(blob)
+    return meta, header_end, blocks
+
+
+class TestCorruptCheckpoint:
+    """Seeded corruptions of real checkpoints.  Each must raise a DatasetError
+    naming the file, so none loads and none surfaces as a numpy or JSON error."""
+
+    def rejected(self, path, blob, match=""):
+        path.write_bytes(blob)
+        with pytest.raises(DatasetError, match=re.escape(str(path)) + ".*" + match) as caught:
+            load_checkpoint(path)
+        return caught.value
+
+    def test_truncation_at_every_boundary_and_inside_the_header(self, checkpoint_blob, tmp_path):
+        rng = np.random.default_rng(1)
+        _, header_end, blocks = checkpoint_layout(checkpoint_blob)
+        path = tmp_path / "cut.bin"
+        for size in (0, 8, 16, *rng.integers(17, header_end, 5), header_end, header_end + 2):
+            self.rejected(path, checkpoint_blob[:size])
+        for name, pname, lo, hi in blocks:
+            self.rejected(path, checkpoint_blob[:lo], rf"{name} stream parameter {re.escape(pname)}")
+            self.rejected(path, checkpoint_blob[: rng.integers(lo + 1, hi)], re.escape(pname))
+
+    def test_flipped_byte_in_the_header_and_in_every_block(self, checkpoint_blob, tmp_path):
+        rng = np.random.default_rng(2)
+        _, header_end, blocks = checkpoint_layout(checkpoint_blob)
+        path = tmp_path / "flipped.bin"
+
+        def flipped(pos):
+            blob = bytearray(checkpoint_blob)
+            blob[pos] ^= int(rng.integers(1, 256))
+            return bytes(blob)
+
+        for pos in (*rng.integers(16, header_end, 5), header_end + 3):
+            assert isinstance(self.rejected(path, flipped(pos), "header checksum"), ChecksumError)
+        for name, pname, lo, hi in blocks:
+            what = rf"{name} stream parameter {re.escape(pname)}"
+            error = self.rejected(path, flipped(rng.integers(lo, hi)), what)
+            assert isinstance(error, ChecksumError) and "checksum" in str(error)
+
+    def test_header_missing_a_parameter(self, checkpoint_blob, tmp_path):
+        # The header and its checksum are rewritten without one parameter, and
+        # its block is dropped: only the comparison with the stream catches it.
+        rng = np.random.default_rng(3)
+        meta, header_end, blocks = checkpoint_layout(checkpoint_blob)
+        for name, pname, lo, hi in (blocks[i] for i in rng.permutation(len(blocks))[:3]):
+            params = {k: v for k, v in meta["streams"][name]["params"].items() if k != pname}
+            smeta = {**meta["streams"][name], "params": params}
+            header = json.dumps({**meta, "streams": {**meta["streams"], name: smeta}}, sort_keys=True).encode()
+            blob = (
+                checkpoint_blob[:8] + len(header).to_bytes(8, "little") + header
+                + zlib.crc32(header).to_bytes(4, "little")
+                + checkpoint_blob[header_end + 4 : lo] + checkpoint_blob[hi:]
+            )
+            missing = rf"{name} stream lacks parameters \['{re.escape(pname)}'\]"
+            self.rejected(tmp_path / "missing.bin", blob, missing)
+
+    def test_appended_byte(self, checkpoint_blob, tmp_path):
+        self.rejected(tmp_path / "long.bin", checkpoint_blob + b"\0", "1 trailing bytes")
 
 
 class TestConfig:
