@@ -25,6 +25,7 @@ from .tensor import GraphError, NumericError, ShapeError
 from .training import (
     CONFIG_CHOICES,
     ConfigError,
+    ModelDims,
     RunConfig,
     dump_attention,
     evaluate,
@@ -149,12 +150,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _load_for_eval(args: argparse.Namespace):
     """The checkpoint's config and streams, the prepared dataset and the split's ids."""
-    config, dims, streams = load_checkpoint(args.checkpoint)
+    config, _, streams = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.dataset)
-    if dataset.manifest.feature_dim != dims.feat_dim:
-        raise DatasetError(
-            f"checkpoint feature dim {dims.feat_dim} != dataset {dataset.manifest.feature_dim}"
-        )
+    # The checks training made of its dataset, made of this one.
+    ModelDims.from_dataset(dataset, replace(config, dataset=args.dataset))
     trained_on = next(iter(streams.values()))["dataset_hash"]
     given = dataset.content_hash
     if trained_on != given and not args.allow_other_dataset:

@@ -16,12 +16,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import queue
+import threading
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -286,6 +288,9 @@ def _decode_record(
     features = None
     if manifest.has_features:
         features = take(t * 4 * manifest.feature_dim, "<f4").reshape(t, 4, manifest.feature_dim)
+        # A copy, not a view of the block: the features start 6 bytes past a
+        # 4-byte boundary (joints, 2 presence bytes, label), so a view would
+        # be misaligned for every batch that reads it.
         features = features.astype(np.float32)
     gt_slot = take(t, "<i4").copy() if manifest.has_gt_slot else None
     gt_window = take(2, "<i4").copy() if manifest.has_gt_window else None
@@ -340,25 +345,62 @@ def _parse_manifest(path: str | Path, header: bytes) -> DatasetManifest:
         raise type(e)(f"{path}: {e}") from None
     except KeyError as e:
         raise ManifestError(f"{path}: manifest field {e} is missing") from None
-    except (AttributeError, TypeError, ValueError) as e:  # not JSON, or a field of the wrong type
+    except (AttributeError, TypeError, ValueError, OverflowError) as e:  # not JSON, or a field of the wrong type
         raise ManifestError(f"{path}: bad manifest header: {type(e).__name__}: {e}") from None
+
+
+# Record blocks that may wait between the reader and the hashing thread.
+HASH_QUEUE_BLOCKS = 1
+
+
+@contextmanager
+def _hashing_thread(digest) -> Iterator[Callable[[bytes], None]]:
+    """A ``feed(blob)`` that has a helper thread pass each blob to
+    ``digest.update``, in the order fed.  ``feed`` waits while
+    ``HASH_QUEUE_BLOCKS`` blobs are queued.  The thread is joined when the
+    block exits, whether it returns or raises, and an error the thread met
+    is raised then."""
+    blobs: queue.Queue = queue.Queue(maxsize=HASH_QUEUE_BLOCKS)
+    failed: list[BaseException] = []
+
+    def run() -> None:
+        # Drains the queue to the end even after a failure, so feed never waits forever.
+        for blob in iter(blobs.get, None):
+            if not failed:
+                try:
+                    digest.update(blob)
+                except BaseException as e:
+                    failed.append(e)
+
+    thread = threading.Thread(target=run, name="poseattn-sha256", daemon=True)
+    thread.start()
+    try:
+        yield blobs.put
+    finally:
+        blobs.put(None)
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Read, check and decode a dataset file in one sequential pass.
 
-    Every byte read also feeds one sha256, so ``content_hash`` is the digest
-    of exactly the bytes decoded.  At most one record block is held at a time.
+    Every byte read also feeds one sha256, on a helper thread that takes the
+    blocks in file order, so ``content_hash`` is the digest of exactly the
+    bytes decoded.  Besides the decoded arrays, at most three record blocks
+    are held at a time: one being hashed, one waiting for the hasher and one
+    being read, checked and decoded.
     """
     digest = hashlib.sha256()
-    with open(path, "rb") as f:
+    with _hashing_thread(digest) as feed, open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
         def read(n: int, what: str) -> bytes:
             if n > size - f.tell():
                 raise TruncationError(f"{path}: file ends inside {what}")
             blob = f.read(n)
-            digest.update(blob)
+            feed(blob)
             return blob
 
         magic = read(len(MAGIC), "the magic")

@@ -168,13 +168,20 @@ class ModelDims:
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, config: RunConfig) -> "ModelDims":
+        """The sizes of ``config``'s streams on ``dataset``.  Runs that read
+        hand features (``rgb``, ``two_stream``) need the dataset to have them
+        at ``config.feat_dim``; a ``pose`` run reads none."""
         manifest = dataset.manifest
-        if config.variant != "pose" and not manifest.has_features:
-            raise DatasetError(f"dataset {config.dataset!r} has no hand features, needed by {config.variant} runs")
-        if config.feat_dim != manifest.feature_dim:
-            raise DatasetError(
-                f"config feat_dim {config.feat_dim} != dataset feature dim {manifest.feature_dim}"
-            )
+        if config.variant != "pose":
+            if not manifest.has_features:
+                raise DatasetError(
+                    f"dataset {config.dataset!r} has no hand features, needed by {config.variant} runs"
+                )
+            if config.feat_dim != manifest.feature_dim:
+                raise DatasetError(
+                    f"dataset {config.dataset!r}: config feat_dim {config.feat_dim} "
+                    f"!= dataset feature dim {manifest.feature_dim}"
+                )
         return cls(
             pose_dim=2 * manifest.n_joints * 3,
             n_classes=manifest.n_classes,

@@ -1,13 +1,15 @@
 import multiprocessing
+import threading
 
 import pytest
 
 
 @pytest.fixture(autouse=True)
 def no_stray_processes():
-    """Fail a test that leaves a child process running: a process pool must be
-    shut down, and its workers joined, whether the code under test returns or
-    raises."""
+    """Fail a test that leaves a child process or a thread running: a process
+    pool must be shut down, and its workers joined, and a helper thread
+    joined, whether the code under test returns or raises."""
+    threads_before = set(threading.enumerate())
     yield
     left = multiprocessing.active_children()
     for p in left:
@@ -15,3 +17,6 @@ def no_stray_processes():
         p.join()
     if left:
         pytest.fail(f"test left {len(left)} child process(es) running: {left}")
+    threads_left = [t for t in threading.enumerate() if t not in threads_before]
+    if threads_left:
+        pytest.fail(f"test left {len(threads_left)} thread(s) running: {threads_left}")

@@ -170,15 +170,25 @@ def test_checkpoint_against_other_dataset_is_data_error_unless_allowed(dataset_p
 def test_featureless_dataset_trains_pose_and_rejects_rgb_as_data_error(dataset_path, tmp_path, capsys):
     dataset = load_dataset(dataset_path)
     dataset.manifest.has_features = False
+    dataset.manifest.feature_dim = 0
     for seq in dataset.sequences.values():
         seq.features = None
     bare = tmp_path / "bare.bin"
     save_dataset(bare, dataset)
-    argv = ["train", "--dataset", str(bare), "--out", str(tmp_path / "run"), "--pose-hidden", "8"] + TRAIN_FLAGS
+    run_dir = tmp_path / "run"
+    argv = ["train", "--dataset", str(bare), "--out", str(run_dir), "--pose-hidden", "8"] + TRAIN_FLAGS
     assert main(argv + ["--variant", "pose"]) == 0
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"), "--dataset", str(bare)]) == 0
     capsys.readouterr()
     assert main(argv + ["--variant", "rgb"]) == 2
     assert str(bare) in capsys.readouterr().err
+    # An RGB checkpoint is refused on it too, before any stream reads features.
+    rgb_dir = tmp_path / "rgb"
+    assert main(["train", "--dataset", str(dataset_path), "--out", str(rgb_dir)] + TRAIN_FLAGS) == 0
+    capsys.readouterr()
+    ckpt = ["--checkpoint", str(rgb_dir / "checkpoint.bin"), "--dataset", str(bare), "--allow-other-dataset"]
+    assert main(["eval"] + ckpt) == 2
+    assert f"dataset '{bare}' has no hand features" in capsys.readouterr().err
 
 
 def test_every_config_flag_sets_its_field(tmp_path):

@@ -1,11 +1,14 @@
+import hashlib
 import json
 import re
 import tracemalloc
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import poseattn.data
 from poseattn.data import (
     MAGIC,
     ChecksumError,
@@ -82,9 +85,9 @@ def test_round_trip_is_bitwise(tmp_path):
     assert ds.content_hash == ""
 
 
-def saved(tmp_path):
+def saved(tmp_path, **kw):
     path = tmp_path / "tiny.bin"
-    save_dataset(path, tiny_dataset())
+    save_dataset(path, tiny_dataset(**kw))
     return path
 
 
@@ -293,3 +296,149 @@ def test_save_holds_one_encoded_block_at_a_time(tmp_path):
     # Encoding one block takes about three block-sized buffers; holding
     # every block would peak above 16 of them.
     assert peak < 6 * block, peak
+
+
+def test_load_hashes_every_byte_holding_few_blocks(tmp_path):
+    path = tmp_path / "d.bin"
+    save_dataset(path, tiny_dataset(n=16, t=20, d=512))  # 20 x 4 x 512 f4 features: about 160 kB a block
+    block = 20 * 4 * 512 * 4
+    tracemalloc.start()
+    try:
+        dataset = load_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(
+        a.nbytes
+        for s in dataset.sequences.values()
+        for a in (s.seq.joints3d, s.seq.subject_present, s.features, s.gt_slot, s.gt_window)
+    )
+    # One block being hashed, one waiting for the hasher and one being
+    # decoded; holding every block would peak 16 blocks above the arrays kept.
+    assert peak - kept < 4 * block, (peak - kept) / block
+    assert dataset.content_hash == dataset_content_hash(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_a_hashing_failure_is_raised_by_the_load(tmp_path, monkeypatch):
+    class HashFailure(Exception):
+        pass
+
+    class FailingDigest:
+        def update(self, blob):
+            if blob[:1] == b"{":  # the manifest header
+                raise HashFailure("digest failed")
+
+    path = saved(tmp_path)
+    monkeypatch.setattr(poseattn.data, "hashlib", SimpleNamespace(sha256=FailingDigest))
+    with pytest.raises(HashFailure, match="digest failed"):
+        load_dataset(path)
+
+
+# Seeded corruptions of a real multi-record file.  Each case loads the
+# corrupt bytes; an exception that is not a DatasetError fails the test.
+CORRUPTION_SEED = 20170
+
+
+def section_bounds(path):
+    """Offsets at which the magic, the length field, the header and each
+    record block start, then the file's end."""
+    manifest, payload = split_file(path)
+    bounds = [0, len(MAGIC), len(MAGIC) + 8, path.stat().st_size - len(payload)]
+    for rec in manifest["records"]:
+        bounds.append(bounds[-1] + rec["nbytes"])
+    return bounds
+
+
+def load_corrupt(path, blob):
+    """``load_dataset`` of ``blob`` written at ``path``: the Dataset, or None
+    when it raised a DatasetError, whose message must name the file."""
+    path.write_bytes(blob)
+    try:
+        return load_dataset(path)
+    except DatasetError as e:
+        assert str(path) in str(e), e
+        return None
+
+
+def flipped(blob, bit):
+    out = bytearray(blob)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+@pytest.fixture
+def corruptible(tmp_path):
+    """A saved six-record file, its bytes, its section bounds and a path for corrupt copies."""
+    path = saved(tmp_path, n=6)
+    whole = path.read_bytes()
+    bounds = section_bounds(path)
+    assert bounds[-1] == len(whole)
+    return whole, bounds, tmp_path / "corrupt.bin"
+
+
+def test_every_truncation_names_the_file(corruptible):
+    whole, bounds, path = corruptible
+    rng = np.random.default_rng(CORRUPTION_SEED)
+    cuts = set(bounds[:-1]) | {b - 1 for b in bounds[1:]} | set(rng.integers(0, len(whole), 64).tolist())
+    for cut in sorted(cuts):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(TruncationError, match=f"{re.escape(str(path))}: file ends inside"):
+            load_dataset(path)
+
+
+def test_every_flipped_bit_in_the_magic_or_length_field_names_the_file(corruptible):
+    whole, bounds, path = corruptible
+    for bit in range(8 * bounds[2]):
+        assert load_corrupt(path, flipped(whole, bit)) is None, bit
+
+
+def test_a_flipped_bit_in_every_block_is_a_checksum_error(corruptible):
+    whole, bounds, path = corruptible
+    rng = np.random.default_rng(CORRUPTION_SEED)
+    ids = [r["id"] for r in json.loads(whole[bounds[2] : bounds[3]])["records"]]
+    for seq_id, lo, hi in zip(ids, bounds[3:], bounds[4:]):
+        for bit in rng.integers(8 * lo, 8 * hi, 8):
+            path.write_bytes(flipped(whole, bit))
+            with pytest.raises(ChecksumError, match=f"{re.escape(str(path))}: record {seq_id}: checksum"):
+                load_dataset(path)
+
+
+def test_a_flipped_bit_in_the_header_fails_or_changes_the_hash(corruptible):
+    whole, bounds, path = corruptible
+    original = hashlib.sha256(whole).hexdigest()
+    rng = np.random.default_rng(CORRUPTION_SEED)
+    for bit in rng.integers(8 * bounds[2], 8 * bounds[3], 400):
+        loaded = load_corrupt(path, flipped(whole, bit))
+        assert loaded is None or loaded.content_hash != original, bit
+
+
+def set_field(key, value):
+    def edit(m):
+        m["records"][2][key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (set_field("nbytes", 715), ManifestError),
+        (set_field("crc32", 0), ChecksumError),
+        (lambda m: m["records"][2].pop("crc32"), ManifestError),
+        (set_field("n_frames", "five"), ManifestError),
+        (set_field("n_frames", float("inf")), ManifestError),
+        (set_field("label", [0]), ManifestError),
+        (lambda m: m.update(records={"seq-000": {}}), ManifestError),
+        (lambda m: m.update(has_gt_slot=None), ManifestError),
+    ],
+    ids=[
+        "nbytes", "crc32", "missing-crc32", "n_frames-str", "n_frames-inf", "label-list",
+        "records-object", "has_gt_slot-null",
+    ],
+)
+def test_a_manifest_edit_names_the_file(corruptible, edit, error):
+    # Edits of n_frames, label and a top-level field have tests of their own above.
+    whole, _, path = corruptible
+    path.write_bytes(whole)
+    rewrite_manifest(path, edit)
+    with pytest.raises(error, match=re.escape(str(path))):
+        load_dataset(path)

@@ -39,9 +39,11 @@ def tiny_dataset_path(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def featureless_dataset_path(tmp_path_factory):
-    """The tiny dataset saved without hand features (manifest has_features false)."""
+    """The tiny dataset saved without hand features (manifest has_features
+    false, feature_dim 0)."""
     dataset = generate(SyntheticSpec(kind="active_hand", seed=0, **TINY))
     dataset.manifest.has_features = False
+    dataset.manifest.feature_dim = 0
     for seq in dataset.sequences.values():
         seq.features = None
     path = tmp_path_factory.mktemp("data") / "featureless.bin"
@@ -201,6 +203,7 @@ class TestTraining:
             run_train(config)
 
     def test_featureless_dataset_trains_the_pose_stream(self, featureless_dataset_path):
+        # The config's feat_dim (16) is not the file's (0): a pose run reads no features.
         result = run_train(tiny_config(featureless_dataset_path, variant="pose", max_epochs=1))
         assert "test_seeds" in result.test_acc
         samples = list(result.prepared.values())[:2]
