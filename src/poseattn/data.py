@@ -349,35 +349,52 @@ def _parse_manifest(path: str | Path, header: bytes) -> DatasetManifest:
         raise ManifestError(f"{path}: bad manifest header: {type(e).__name__}: {e}") from None
 
 
-# Record blocks that may wait between the reader and the hashing thread.
-HASH_QUEUE_BLOCKS = 1
+# Batches of blobs that may wait between the reader and the hashing thread.
+HASH_QUEUE_BATCHES = 1
+# The reader hands its blobs over in batches of at least this many bytes (the
+# last batch may hold fewer): each hand-off wakes the thread, which a small
+# record block alone does not repay.  A paper-scale block (about 1.3 MB) is a
+# batch of its own.
+HASH_BATCH_BYTES = 1 << 17
 
 
 @contextmanager
 def _hashing_thread(digest) -> Iterator[Callable[[bytes], None]]:
     """A ``feed(blob)`` that has a helper thread pass each blob to
-    ``digest.update``, in the order fed.  ``feed`` waits while
-    ``HASH_QUEUE_BLOCKS`` blobs are queued.  The thread is joined when the
-    block exits, whether it returns or raises, and an error the thread met
-    is raised then."""
-    blobs: queue.Queue = queue.Queue(maxsize=HASH_QUEUE_BLOCKS)
+    ``digest.update``, in the order fed.  Blobs go over in batches of
+    ``HASH_BATCH_BYTES``, and ``feed`` waits while ``HASH_QUEUE_BATCHES``
+    batches are queued.  The thread is joined when the block exits, whether
+    it returns or raises, and an error the thread met is raised then."""
+    batches: queue.Queue = queue.Queue(maxsize=HASH_QUEUE_BATCHES)
     failed: list[BaseException] = []
+    batch: list[bytes] = []
+    batch_bytes = 0
 
     def run() -> None:
         # Drains the queue to the end even after a failure, so feed never waits forever.
-        for blob in iter(blobs.get, None):
+        for blobs in iter(batches.get, None):
             if not failed:
                 try:
-                    digest.update(blob)
+                    for blob in blobs:
+                        digest.update(blob)
                 except BaseException as e:
                     failed.append(e)
+
+    def feed(blob: bytes) -> None:
+        nonlocal batch, batch_bytes
+        batch.append(blob)
+        batch_bytes += len(blob)
+        if batch_bytes >= HASH_BATCH_BYTES:
+            batches.put(batch)
+            batch, batch_bytes = [], 0
 
     thread = threading.Thread(target=run, name="poseattn-sha256", daemon=True)
     thread.start()
     try:
-        yield blobs.put
+        yield feed
     finally:
-        blobs.put(None)
+        batches.put(batch)
+        batches.put(None)
         thread.join()
     if failed:
         raise failed[0]
@@ -388,9 +405,10 @@ def load_dataset(path: str | Path) -> Dataset:
 
     Every byte read also feeds one sha256, on a helper thread that takes the
     blocks in file order, so ``content_hash`` is the digest of exactly the
-    bytes decoded.  Besides the decoded arrays, at most three record blocks
-    are held at a time: one being hashed, one waiting for the hasher and one
-    being read, checked and decoded.
+    bytes decoded.  Besides the decoded arrays, a load holds at most three
+    batches of blocks (one being hashed, one waiting for the hasher and one
+    being gathered, its last block being checked and decoded), each under
+    ``HASH_BATCH_BYTES`` plus one block.
     """
     digest = hashlib.sha256()
     with _hashing_thread(digest) as feed, open(path, "rb") as f:

@@ -120,7 +120,7 @@ class RgbStream:
 
     def __init__(
         self,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         conditioning: str,
         use_temporal: bool,
         n_frames: int,
@@ -310,7 +310,7 @@ class PoseStream:
 
     def __init__(
         self,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         pose_dim: int,
         hidden_dim: int,
         n_layers: int,

@@ -6,6 +6,8 @@ so the first softmax is exactly uniform.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -30,14 +32,20 @@ class Linear:
 
 
 def glorot_uniform(
-    rng: np.random.Generator, out_dim: int, in_dim: int, gates: int = 1
+    rng: np.random.Generator | None, out_dim: int, in_dim: int, gates: int = 1
 ) -> np.ndarray:
-    """``gates`` (out, in) Glorot draws, one after another, stacked as (gates*out, in)."""
+    """``gates`` (out, in) Glorot draws, one after another, stacked as (gates*out, in).
+
+    With ``rng`` None nothing is drawn and the weights are zeros: a skeleton
+    whose parameters are about to be overwritten, as a checkpoint load does.
+    """
+    if rng is None:
+        return np.zeros((gates * out_dim, in_dim))
     a = np.sqrt(6.0 / (in_dim + out_dim))
     return rng.uniform(-a, a, size=(gates, out_dim, in_dim)).reshape(gates * out_dim, in_dim)
 
 
-def linear_init(rng: np.random.Generator, in_dim: int, out_dim: int) -> Linear:
+def linear_init(rng: np.random.Generator | None, in_dim: int, out_dim: int) -> Linear:
     return Linear(
         W=Tensor(glorot_uniform(rng, out_dim, in_dim), requires_grad=True),
         b=Tensor(np.zeros(out_dim), requires_grad=True),
@@ -79,7 +87,7 @@ class Mlp:
 
 
 def mlp_init(
-    rng: np.random.Generator, dims: Sequence[int], zero_output: bool = False
+    rng: np.random.Generator | None, dims: Sequence[int], zero_output: bool = False
 ) -> Mlp:
     layers = [linear_init(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 2)]
     if zero_output:
@@ -147,7 +155,7 @@ class GruParams:
         return T.gru_scan(xp, self.U, h0)
 
 
-def gru_init(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> GruParams:
+def gru_init(rng: np.random.Generator | None, input_dim: int, hidden_dim: int) -> GruParams:
     return GruParams(
         W=Tensor(glorot_uniform(rng, hidden_dim, input_dim, gates=3), requires_grad=True),
         U=Tensor(glorot_uniform(rng, hidden_dim, hidden_dim, gates=3), requires_grad=True),
@@ -202,7 +210,7 @@ class GruStack:
 
 
 def gru_stack_init(
-    rng: np.random.Generator, input_dim: int, hidden_dim: int, n_layers: int
+    rng: np.random.Generator | None, input_dim: int, hidden_dim: int, n_layers: int
 ) -> GruStack:
     cells = [
         gru_init(rng, input_dim if i == 0 else hidden_dim, hidden_dim)
@@ -248,47 +256,95 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+# Elements per block of Adam's update: a block of the parameter, its two
+# moments, its gradient and two scratch blocks (3 MB) stay in cache through
+# the update's passes.
+ADAM_BLOCK = 1 << 16
+# Updates of at least this many elements hand every other block to a helper
+# thread, when the process may use more than one CPU: a thread start and
+# join (about 0.2 ms) is then a few percent of the half it takes over.
+ADAM_THREAD_MIN = 1 << 19
+
+
 def adam_step(state: AdamState, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:
-    """Apply one Adam update in place; parameters without a gradient are untouched."""
+    """Apply one Adam update in place; parameters without a gradient are untouched.
+
+    Every gradient is checked (finite, the parameter's shape, a C-contiguous
+    parameter) before anything is written, so a failed check leaves every
+    parameter, moment and ``state.step`` as they were.  The update is
+    elementwise, so it runs over flat blocks of ``ADAM_BLOCK`` elements, with
+    the same operations in the same order for every element: its values do
+    not depend on the block size or on which thread ran a block.
+    """
     for name, g in grads.items():
+        p = params[name].data
         if not np.isfinite(g).all():
             raise NumericError(f"adam_step: non-finite gradient for {name}")
-        if g.shape != params[name].data.shape:
-            raise ShapeError(
-                f"adam_step: gradient shape {g.shape} != parameter shape {params[name].data.shape} for {name}"
-            )
+        if g.shape != p.shape:
+            raise ShapeError(f"adam_step: gradient shape {g.shape} != parameter shape {p.shape} for {name}")
+        if not p.flags.c_contiguous:
+            # A flat view of it would be a copy, and the update would be lost.
+            raise ShapeError(f"adam_step: parameter {name} is not C-contiguous")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    largest = max((g.size for g in grads.values()), default=0)
-    scratch_a, scratch_b = np.empty(largest), np.empty(largest)
+    blocks = []
     for name, g in grads.items():
-        p = params[name]
+        p = params[name].data
         m = state.m.get(name)
         if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
+            m = state.m[name] = np.zeros(p.shape)
         v = state.v.get(name)
         if v is None:
-            v = state.v[name] = np.zeros_like(p.data)
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), written into two
-        # scratch buffers: the same operations in the same order.
-        a = scratch_a[: g.size].reshape(g.shape)
-        b = scratch_b[: g.size].reshape(g.shape)
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=a)
+            v = state.v[name] = np.zeros(p.shape)
+        flat = (p.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1))
+        blocks += [(flat, lo) for lo in range(0, g.size, ADAM_BLOCK)]
+    coeffs = (state.lr, state.beta1, state.beta2, state.eps, 1.0 - state.beta1**t, 1.0 - state.beta2**t)
+    if sum(g.size for g in grads.values()) < ADAM_THREAD_MIN or len(os.sched_getaffinity(0)) < 2:
+        _adam_blocks(blocks, coeffs)
+        return
+    failed: list[BaseException] = []
+
+    def helper() -> None:
+        try:
+            _adam_blocks(blocks[1::2], coeffs)
+        except BaseException as e:
+            failed.append(e)
+
+    thread = threading.Thread(target=helper, name="poseattn-adam", daemon=True)
+    thread.start()
+    try:
+        _adam_blocks(blocks[::2], coeffs)
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
+def _adam_blocks(blocks: list, coeffs: tuple) -> None:
+    """The Adam update of each block ``((p, m, v, g), lo)``: elements lo to
+    lo + ADAM_BLOCK of the flat parameter, moments and gradient."""
+    lr, beta1, beta2, eps, bc1, bc2 = coeffs
+    scratch_a, scratch_b = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    for (p, m, v, g), lo in blocks:
+        hi = lo + ADAM_BLOCK
+        p, m, v, g = p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi]
+        a, b = scratch_a[: g.size], scratch_b[: g.size]
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), written into the
+        # scratch blocks.
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=a)
         m += a
-        v *= state.beta2
+        v *= beta2
         np.multiply(g, g, out=a)
-        a *= 1.0 - state.beta2
+        a *= 1.0 - beta2
         v += a
         np.divide(m, bc1, out=a)
-        a *= state.lr
+        a *= lr
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        b += state.eps
+        b += eps
         a /= b
-        p.data -= a
+        p -= a
 
 
 def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

@@ -122,7 +122,18 @@ class Tape:
         self._out_ids.add(id(out))
 
     def backward(self, loss: Tensor) -> None:
-        """Populate ``grad`` on every requires-grad tensor reachable from ``loss``."""
+        """Populate ``grad`` on every requires-grad tensor reachable from ``loss``.
+
+        Every ``grad`` it sets is private to its tensor.  A parent's first
+        contribution becomes its ``grad`` as it is when it is a writeable,
+        C-contiguous float64 array of the parent's shape that shares no
+        memory with ``g``, the output gradient it was computed from: VJPs
+        return either such a fresh array or a view of ``g`` (``reshape``,
+        ``transpose``, ``concat``, in-order ``gather_rows``, ``add`` and
+        ``subtract`` without broadcast).  Any other first contribution is
+        copied once, and later ones are added into the ``grad`` in place.
+        A kept contribution may hold -0.0 where adding it to zeros gave +0.0.
+        """
         if self._consumed:
             raise GraphError("backward already ran on this tape; re-record the graph first")
         if loss.data.shape != ():
@@ -139,9 +150,19 @@ class Tape:
                 if vjp is None or not parent.requires_grad:
                     continue
                 contrib = vjp(g)
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += contrib
+                if parent.grad is not None:
+                    parent.grad += contrib
+                elif (
+                    contrib.dtype == np.float64
+                    and contrib.shape == parent.data.shape
+                    and contrib.flags.writeable
+                    and contrib.flags.c_contiguous
+                    and not np.may_share_memory(contrib, g)
+                ):
+                    parent.grad = contrib
+                else:
+                    parent.grad = np.empty(parent.data.shape)
+                    parent.grad[...] = contrib
         self._nodes.clear()
         self._out_ids.clear()
 

@@ -190,7 +190,7 @@ class ModelDims:
         )
 
 
-def build_rgb_stream(config: RunConfig, dims: ModelDims, rng: np.random.Generator) -> RgbStream:
+def build_rgb_stream(config: RunConfig, dims: ModelDims, rng: np.random.Generator | None) -> RgbStream:
     return RgbStream(
         rng=rng,
         conditioning=config.conditioning,
@@ -208,7 +208,7 @@ def build_rgb_stream(config: RunConfig, dims: ModelDims, rng: np.random.Generato
     )
 
 
-def build_pose_stream(config: RunConfig, dims: ModelDims, rng: np.random.Generator) -> PoseStream:
+def build_pose_stream(config: RunConfig, dims: ModelDims, rng: np.random.Generator | None) -> PoseStream:
     return PoseStream(
         rng=rng,
         pose_dim=dims.pose_dim,
@@ -231,10 +231,11 @@ TEST_SPLITS = ("test_seeds", "test_pool")
 EVAL_CHUNK = 16
 
 
-def _fresh_stream(name: str, config: RunConfig, dims: ModelDims):
-    """Stream ``name`` ("pose" or "rgb") at its seeded initial parameters."""
+def _fresh_stream(name: str, config: RunConfig, dims: ModelDims, drawn: bool = True):
+    """Stream ``name`` ("pose" or "rgb") at its seeded initial parameters, or
+    with ``drawn`` False at zeros: a skeleton for a checkpoint to fill."""
     build = build_pose_stream if name == "pose" else build_rgb_stream
-    return build(config, dims, _rng(config.seed, _STREAM_TAG[name], 0))
+    return build(config, dims, _rng(config.seed, _STREAM_TAG[name], 0) if drawn else None)
 
 
 def evaluate(
@@ -568,7 +569,7 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, d
         dims = ModelDims(**meta["dims"])
         streams: dict[str, dict] = {}
         for name, smeta in sorted(meta["streams"].items()):
-            stream = _fresh_stream(name, config, dims)
+            stream = _fresh_stream(name, config, dims, drawn=False)
             params, stored = stream.parameters(), smeta["params"]
             if set(params) != set(stored):
                 raise DatasetError(
@@ -577,7 +578,7 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, d
                 )
             for pname in sorted(params):
                 what = f"{name} stream parameter {pname}"
-                arr = np.empty(params[pname].data.shape)
+                arr = params[pname].data  # zeros of its own, read into in place
                 if tuple(stored[pname]["shape"]) != arr.shape:
                     raise DatasetError(f"{path}: checkpoint {what}: shape {stored[pname]['shape']} != {arr.shape}")
                 block = memoryview(arr).cast("B")
@@ -585,7 +586,6 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, d
                 f.readinto(block)
                 if zlib.crc32(block) != stored[pname]["crc32"]:
                     raise ChecksumError(f"{path}: checkpoint {what}: checksum mismatch")
-                params[pname].data = arr
             streams[name] = {
                 "stream": stream,
                 "best_epoch": smeta["best_epoch"],

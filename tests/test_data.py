@@ -319,6 +319,18 @@ def test_load_hashes_every_byte_holding_few_blocks(tmp_path):
     assert dataset.content_hash == dataset_content_hash(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@pytest.mark.parametrize("batch_bytes", [1000, None])
+def test_load_hashes_a_file_of_many_small_blocks_in_order(tmp_path, monkeypatch, batch_bytes):
+    # Batches of three blocks and a short last one, or the default bound.
+    path = tmp_path / "d.bin"
+    save_dataset(path, tiny_dataset(n=300, t=3, d=2))  # 300 blocks of 338 bytes
+    if batch_bytes is not None:
+        monkeypatch.setattr(poseattn.data, "HASH_BATCH_BYTES", batch_bytes)
+    dataset = load_dataset(path)
+    assert len(dataset.sequences) == 300
+    assert dataset.content_hash == dataset_content_hash(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_a_hashing_failure_is_raised_by_the_load(tmp_path, monkeypatch):
     class HashFailure(Exception):
         pass

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -247,27 +249,118 @@ class TestAdam:
         with pytest.raises(NumericError, match="w"):
             adam_step(AdamState(), p, {"w": np.array([np.nan])})
 
-    def test_steps_bitwise_equal_to_reference_formula(self):
-        rng = np.random.default_rng(14)
-        shapes = {"W": (5, 3), "b": (5,), "s": (1,)}
+    def test_steps_bitwise_equal_to_reference_formula(self, monkeypatch):
+        # "big" spans several blocks and a remainder: below the helper
+        # thread's size, then above it with two CPUs to use.
+        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0, 1})
+        threads = set()
+        blocks = nn._adam_blocks
+        monkeypatch.setattr(
+            nn, "_adam_blocks", lambda *args: threads.add(threading.current_thread().name) or blocks(*args)
+        )
+        for big, n_threads in ((2 * nn.ADAM_BLOCK + 17, 1), (nn.ADAM_THREAD_MIN + 3 * nn.ADAM_BLOCK + 17, 2)):
+            threads.clear()
+            rng = np.random.default_rng(14)
+            shapes = {"W": (5, 3), "b": (5,), "s": (1,), "big": (big,)}
+            p = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+            ref = {k: t.data.copy() for k, t in p.items()}
+            m = {k: np.zeros(s) for k, s in shapes.items()}
+            v = {k: np.zeros(s) for k, s in shapes.items()}
+            state = AdamState(lr=0.01)
+            b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+            for t in range(1, 6):
+                grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+                adam_step(state, p, grads)
+                for k, g in grads.items():
+                    m[k] = m[k] * b1 + (1.0 - b1) * g
+                    v[k] = v[k] * b2 + (1.0 - b2) * (g * g)
+                    m_hat = m[k] / (1.0 - b1**t)
+                    v_hat = v[k] / (1.0 - b2**t)
+                    ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                    assert np.array_equal(p[k].data, ref[k])
+                    assert np.array_equal(state.m[k], m[k])
+                    assert np.array_equal(state.v[k], v[k])
+            assert len(threads) == n_threads
+
+    def test_concurrent_threaded_updates_match_the_serial_update(self, monkeypatch):
+        # Four callers on two CPUs' worth of helpers, with thread switches
+        # forced often: a block updated twice or lost would change bits.
+        n = nn.ADAM_THREAD_MIN + nn.ADAM_BLOCK + 3
+        rng = np.random.default_rng(5)
+        inits = [rng.normal(size=n) for _ in range(4)]
+        grads = [[rng.normal(size=n) for _ in range(3)] for _ in range(4)]
+
+        def train(i):
+            p = {"w": Tensor(inits[i].copy(), requires_grad=True)}
+            state = AdamState(lr=0.01)
+            for g in grads[i]:
+                adam_step(state, p, {"w": g})
+            return p["w"].data, state.m["w"], state.v["w"]
+
+        monkeypatch.setattr(nn, "ADAM_THREAD_MIN", 10 * n)
+        serial = [train(i) for i in range(4)]
+        monkeypatch.setattr(nn, "ADAM_THREAD_MIN", n)
+        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0, 1})
+        results: dict = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=lambda i=i: results.update({i: train(i)})) for i in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for i in range(4):
+            assert all(np.array_equal(a, b) for a, b in zip(results[i], serial[i]))
+
+    def test_a_nan_in_the_last_block_writes_nothing(self):
+        rng = np.random.default_rng(3)
+        shapes = {"small": (7,), "big": (3 * nn.ADAM_BLOCK + 5,)}
         p = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
-        ref = {k: t.data.copy() for k, t in p.items()}
-        m = {k: np.zeros(s) for k, s in shapes.items()}
-        v = {k: np.zeros(s) for k, s in shapes.items()}
         state = AdamState(lr=0.01)
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
-        for t in range(1, 6):
-            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        adam_step(state, p, {k: rng.normal(size=s) for k, s in shapes.items()})
+        before = [
+            {k: a.copy() for k, a in arrays.items()}
+            for arrays in ({k: t.data for k, t in p.items()}, state.m, state.v)
+        ]
+        grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        grads["big"][-1] = np.nan
+        with pytest.raises(NumericError, match="big"):
             adam_step(state, p, grads)
-            for k, g in grads.items():
-                m[k] = m[k] * b1 + (1.0 - b1) * g
-                v[k] = v[k] * b2 + (1.0 - b2) * (g * g)
-                m_hat = m[k] / (1.0 - b1**t)
-                v_hat = v[k] / (1.0 - b2**t)
-                ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
-                assert np.array_equal(p[k].data, ref[k])
-                assert np.array_equal(state.m[k], m[k])
-                assert np.array_equal(state.v[k], v[k])
+        assert state.step == 1
+        after = ({k: t.data for k, t in p.items()}, state.m, state.v)
+        for old, new in zip(before, after):
+            assert old.keys() == new.keys()
+            assert all(np.array_equal(old[k], new[k]) for k in old)
+
+    def test_an_error_in_the_helpers_half_is_raised_after_the_join(self, monkeypatch):
+        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0, 1})
+        caller = threading.current_thread()
+        blocks = nn._adam_blocks
+
+        def failing_helper(*args):
+            if threading.current_thread() is not caller:
+                raise MemoryError("helper half")
+            return blocks(*args)
+
+        monkeypatch.setattr(nn, "_adam_blocks", failing_helper)
+        p = {"w": Tensor(np.zeros(nn.ADAM_THREAD_MIN), requires_grad=True)}
+        with pytest.raises(MemoryError, match="helper half"):
+            adam_step(AdamState(), p, {"w": np.ones(nn.ADAM_THREAD_MIN)})
+        assert not any(t.name == "poseattn-adam" for t in threading.enumerate())
+
+    def test_a_non_contiguous_parameter_is_rejected_untouched(self):
+        data = np.arange(12.0).reshape(3, 4).T  # a (4, 3) view in column order
+        p = {"w": Tensor(data, requires_grad=True)}
+        state = AdamState(lr=0.1)
+        with pytest.raises(ShapeError, match="w is not C-contiguous"):
+            adam_step(state, p, {"w": np.ones((4, 3))})
+        assert p["w"].data is data
+        assert np.array_equal(data, np.arange(12.0).reshape(3, 4).T)
+        assert state.step == 0 and not state.m and not state.v
 
     def test_step_counter_increments_by_one(self):
         state = AdamState()

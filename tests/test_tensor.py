@@ -416,3 +416,72 @@ def test_gather_rows_rejects_an_index_outside_the_rows():
     for index in (np.array([0, 3]), np.array([-1]), np.array([0.0, 1.0])):
         with pytest.raises(ShapeError, match="gather_rows"):
             T.gather_rows(a, index)
+
+
+def _graph_through(op_name: str, rng: np.random.Generator):
+    """Leaves, and the output of one op whose VJP returns a view of its output
+    gradient to each of them."""
+    x, y = (Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(2))
+    out = {
+        "reshape": lambda: T.reshape(x, (2, 3)),
+        "gather_rows": lambda: T.gather_rows(x, np.arange(3).reshape(1, 3)),
+        "transpose": lambda: T.transpose(x),
+        "concat": lambda: T.concat([x, y], axis=0),
+        "add": lambda: T.add(x, y),
+        "subtract": lambda: T.subtract(x, y),
+    }[op_name]
+    with Tape() as tape:
+        z = out()
+        loss = T.sum_axis(T.multiply(z, Tensor(rng.normal(size=z.shape))))
+    tape.backward(loss)
+    return [t for t in (x, y) if t.grad is not None], z
+
+
+@pytest.mark.parametrize("op_name", ["reshape", "gather_rows", "transpose", "concat", "add", "subtract"])
+def test_a_gradient_taken_from_a_view_of_the_output_gradient_is_private(op_name):
+    leaves, z = _graph_through(op_name, np.random.default_rng(21))
+    assert z.grad is not None
+    for leaf in leaves:
+        others = [t.grad.copy() for t in leaves if t is not leaf] + [z.grad.copy()]
+        leaf.grad += 1.0
+        now = [t.grad for t in leaves if t is not leaf] + [z.grad]
+        assert all(np.array_equal(a, b) for a, b in zip(others, now))
+
+
+def test_no_gradient_of_the_gradcheck_cells_shares_memory(monkeypatch):
+    # One taped backward per cell, recording every tensor of its graph:
+    # no gradient, of a leaf or not, shares memory with another gradient
+    # or with any tensor's data.
+    problems: list[str] = []
+    make = T._make
+
+    def one_backward(f, params, eps=1e-5, tol=1e-5):
+        seen: dict[int, Tensor] = {}
+
+        def recording(out_data, op, parents, vjps):
+            out = make(out_data, op, parents, vjps)
+            seen.update((id(t), t) for t in (out, *parents))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(T, "_make", recording)
+            with Tape() as tape:
+                loss = f()
+        tape.backward(loss)
+        tensors = list(seen.values())
+        leaves = {id(p): name for name, p in params.items()}
+        assert all(p.grad is not None for p in params.values())
+        for i, t in enumerate(tensors):
+            if t.grad is None:
+                continue
+            name = leaves.get(id(t), "an intermediate")
+            if any(u.grad is not None and np.shares_memory(t.grad, u.grad) for u in tensors[i + 1 :]):
+                problems.append(f"the gradient of {name} shares memory with another gradient")
+            if any(np.shares_memory(t.grad, u.data) for u in tensors):
+                problems.append(f"the gradient of {name} shares memory with a tensor's data")
+        return {name: GradCheckResult(0.0, True, p.data.size, eps, tol) for name, p in params.items()}
+
+    monkeypatch.setattr(verify, "grad_check_params", one_backward)
+    cells = [verify.check_cell(cell, verify.TinyDims()) for cell in verify.CELLS]
+    assert len(cells) == 11
+    assert problems == []
