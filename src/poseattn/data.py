@@ -1,12 +1,16 @@
 """Binary dataset container: versioned manifest header plus per-sequence blocks.
 
-Layout, format 2 (little-endian): 8-byte magic, u64 manifest length, UTF-8
-JSON manifest, then one block per manifest record, in manifest order, with
-nothing after the last.  Each block packs, in order: joints3d f32 (T, 2, J,
-3), subject flags u8 (2,), label i32, then per-hand features f32 (T, 4, D),
-ground-truth attention slots i32 (T,) and window i32 (2,) when the manifest
-flags say so.  The manifest gives each block's byte size and CRC32.  Storage
-is f32; compute is f64.  Round-trips are bitwise.
+Datasets and checkpoints share one framing, written by ``write_framed`` and
+read by ``read_framed`` (little-endian): an 8-byte magic, the u64 length of
+a UTF-8 JSON header, the header, its u32 CRC32, then raw blocks whose sizes
+and CRC32s the header gives, with nothing after the last.
+
+A dataset file (format 3) has the manifest as its header and one block per
+manifest record, in manifest order.  Each block packs, in order: joints3d
+f32 (T, 2, J, 3), subject flags u8 (2,), label i32, then per-hand features
+f32 (T, 4, D), ground-truth attention slots i32 (T,) and window i32 (2,)
+when the manifest flags say so.  Storage is f32; compute is f64.
+Round-trips are bitwise.
 
 A loaded ``Dataset`` also carries its model inputs, prepared once on first
 use (``Dataset.prepared``) and shared, read-only, by every run on it.
@@ -23,14 +27,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .pose import PoseSequence, augment_pose, motion_stats, normalize_pose
 
 MAGIC = b"POSEDS01"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 SPLITS = ("train", "val", "test_seeds", "test_pool")
 
@@ -49,13 +53,14 @@ class TruncationError(DatasetError):
 
 
 class ChecksumError(DatasetError):
-    """Stored bytes do not match the CRC32 kept for them: a dataset record
-    block (or its label, against the manifest), or a checkpoint's header or
+    """Stored bytes do not match the CRC32 kept for them: a header, a dataset
+    record block (or its label, against the manifest) or a checkpoint
     parameter block."""
 
 
 class ManifestError(DatasetError):
-    """The manifest header is not JSON, lacks a field, or sizes a block wrongly."""
+    """The header is not a JSON object with a version, or the manifest lacks
+    a field or sizes a block wrongly."""
 
 
 @dataclass
@@ -103,7 +108,6 @@ class DatasetManifest:
     has_gt_window: bool = False
     provenance: dict = field(default_factory=dict)
     records: list[SequenceRecord] = field(default_factory=list)
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
         ids = [r.seq_id for r in self.records]
@@ -115,7 +119,7 @@ class DatasetManifest:
 
     def to_json(self) -> dict:
         return {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "n_classes": self.n_classes,
             "feature_dim": self.feature_dim,
             "n_joints": self.n_joints,
@@ -129,14 +133,7 @@ class DatasetManifest:
 
     @classmethod
     def from_json(cls, d: dict) -> "DatasetManifest":
-        version = d.get("format_version")
-        if version == 1:
-            raise VersionError(
-                "format version 1 is no longer read: format 2 drops record offsets and hands2d; "
-                "regenerate the file with `poseattn synth`"
-            )
-        if version != FORMAT_VERSION:
-            raise VersionError(f"manifest format version {version} != supported {FORMAT_VERSION}")
+        """The manifest of a header whose version ``read_framed`` has checked."""
         return cls(
             n_classes=int(d["n_classes"]),
             feature_dim=int(d["feature_dim"]),
@@ -313,8 +310,77 @@ def replacing(path: str | Path, mode: str = "w") -> Iterator[IO]:
         raise
 
 
+def write_framed(path: str | Path, magic: bytes, header: dict, blocks: Iterable) -> None:
+    """Write ``path`` through ``replacing``, in the framing ``read_framed``
+    reads: ``magic``, the u64 length of the JSON ``header``, the header, its
+    u32 CRC32, then each of ``blocks`` (bytes, or C-contiguous arrays) as is."""
+    raw = json.dumps(header, sort_keys=True).encode()
+    with replacing(path, "wb") as f:
+        f.write(magic)
+        f.write(len(raw).to_bytes(8, "little"))
+        f.write(raw)
+        f.write(zlib.crc32(raw).to_bytes(4, "little"))
+        for block in blocks:
+            f.write(block)
+
+
+@contextmanager
+def read_framed(
+    path: str | Path, magic: bytes, kind: str, version_key: str, version: int, advice: str,
+    feed: Callable[[bytes], None] = lambda blob: None,
+) -> Iterator[tuple[dict, Callable]]:
+    """The header of a file ``write_framed`` wrote, and ``block(what, nbytes,
+    crc32, into=None)``, which returns its next block once the block is
+    ``nbytes`` bytes matching ``crc32`` (read straight into the C-contiguous
+    array ``into`` when given).  The header must hold ``version`` under
+    ``version_key``; it is checked before the header's checksum, so an older
+    file fails with a ``VersionError`` ending in ``advice``.  A ``with``
+    block that ends without an error checks that nothing follows the last
+    block.  Every byte read also goes, in order, to ``feed``.  Each error is
+    a ``DatasetError`` that names the file and the field, ``kind``
+    ("dataset", "checkpoint") naming the file's header.
+    """
+    with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size
+
+        def read(n: int, what: str, into: np.ndarray | None = None) -> bytes | memoryview:
+            if n > end - f.tell():
+                raise TruncationError(f"{path}: file ends inside {what}")
+            if into is None:
+                blob = f.read(n)
+            else:
+                f.readinto(blob := memoryview(into).cast("B"))
+            feed(blob)
+            return blob
+
+        def block(what: str, nbytes: int, crc32: int, into: np.ndarray | None = None) -> bytes | memoryview:
+            blob = read(nbytes, what, into)
+            if zlib.crc32(blob) != crc32:
+                raise ChecksumError(f"{path}: {what}: checksum mismatch")
+            return blob
+
+        got = read(len(magic), "the magic")
+        if got != magic:
+            raise VersionError(f"{path}: bad magic {got!r}; not a {kind} file")
+        raw = read(int.from_bytes(read(8, f"the {kind} header length field"), "little"), f"the {kind} header")
+        try:
+            header = json.loads(raw)
+            found = header.get(version_key)
+        except (ValueError, AttributeError):  # not JSON, or not an object: the checksum rejects it
+            found = None
+        if found is not None and found != version:
+            raise VersionError(f"{path}: {kind} {version_key} {found} != {version}; {advice}")
+        if zlib.crc32(raw) != int.from_bytes(read(4, f"the {kind} header checksum"), "little"):
+            raise ChecksumError(f"{path}: {kind} header checksum mismatch")
+        if found is None:
+            raise ManifestError(f"{path}: {kind} header is not a JSON object with a {version_key}")
+        yield header, block
+        if f.tell() != end:
+            raise DatasetError(f"{path}: {end - f.tell()} trailing bytes after the last block")
+
+
 def save_dataset(path: str | Path, dataset: Dataset) -> None:
-    """Write the dataset file: magic, manifest header, then one block per record.
+    """Write the dataset file: the manifest as header, then one block per record.
 
     The header holds each block's size and checksum, so every block is
     encoded twice: once to measure it, and again as it is written.  At most
@@ -329,23 +395,17 @@ def save_dataset(path: str | Path, dataset: Dataset) -> None:
     for record, blob in zip(manifest.records, blocks()):
         record.nbytes = len(blob)
         record.crc32 = zlib.crc32(blob)
-    header = json.dumps(manifest.to_json(), sort_keys=True).encode()
-    with replacing(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(len(header).to_bytes(8, "little"))
-        f.write(header)
-        for blob in blocks():
-            f.write(blob)
+    write_framed(path, MAGIC, manifest.to_json(), blocks())
 
 
-def _parse_manifest(path: str | Path, header: bytes) -> DatasetManifest:
+def _parse_manifest(path: str | Path, header: dict) -> DatasetManifest:
     try:
-        return DatasetManifest.from_json(json.loads(header))
-    except DatasetError as e:  # wrong version or duplicate ids
+        return DatasetManifest.from_json(header)
+    except DatasetError as e:  # duplicate ids
         raise type(e)(f"{path}: {e}") from None
     except KeyError as e:
         raise ManifestError(f"{path}: manifest field {e} is missing") from None
-    except (AttributeError, TypeError, ValueError, OverflowError) as e:  # not JSON, or a field of the wrong type
+    except (AttributeError, TypeError, ValueError, OverflowError) as e:  # a field of the wrong type
         raise ManifestError(f"{path}: bad manifest header: {type(e).__name__}: {e}") from None
 
 
@@ -411,21 +471,12 @@ def load_dataset(path: str | Path) -> Dataset:
     ``HASH_BATCH_BYTES`` plus one block.
     """
     digest = hashlib.sha256()
-    with _hashing_thread(digest) as feed, open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-
-        def read(n: int, what: str) -> bytes:
-            if n > size - f.tell():
-                raise TruncationError(f"{path}: file ends inside {what}")
-            blob = f.read(n)
-            feed(blob)
-            return blob
-
-        magic = read(len(MAGIC), "the magic")
-        if magic != MAGIC:
-            raise VersionError(f"{path}: bad magic {magic!r}; not a dataset file")
-        header_len = int.from_bytes(read(8, "the manifest length field"), "little")
-        manifest = _parse_manifest(path, read(header_len, "the manifest header"))
+    advice = "regenerate the file with `poseattn synth`"
+    with (
+        _hashing_thread(digest) as feed,
+        read_framed(path, MAGIC, "dataset", "format_version", FORMAT_VERSION, advice, feed) as (header, block),
+    ):
+        manifest = _parse_manifest(path, header)
         sequences = {}
         for record in manifest.records:
             expected = _record_nbytes(manifest, record.n_frames)
@@ -434,12 +485,8 @@ def load_dataset(path: str | Path) -> Dataset:
                     f"{path}: record {record.seq_id}: stored nbytes {record.nbytes} != {expected} "
                     f"expected from n_frames {record.n_frames} and the manifest flags"
                 )
-            blob = read(record.nbytes, f"record {record.seq_id}")
-            if zlib.crc32(blob) != record.crc32:
-                raise ChecksumError(f"{path}: record {record.seq_id}: checksum mismatch")
+            blob = block(f"record {record.seq_id}", record.nbytes, record.crc32)
             sequences[record.seq_id] = _decode_record(path, manifest, record, blob)
-        if f.tell() != size:
-            raise DatasetError(f"{path}: {size - f.tell()} trailing bytes after the last record")
     return Dataset(manifest=manifest, sequences=sequences, content_hash=digest.hexdigest())
 
 

@@ -46,16 +46,9 @@ def glorot_uniform(
 
 
 def linear_init(rng: np.random.Generator | None, in_dim: int, out_dim: int) -> Linear:
+    """A Glorot-drawn layer with zero bias; with ``rng`` None, all zeros."""
     return Linear(
         W=Tensor(glorot_uniform(rng, out_dim, in_dim), requires_grad=True),
-        b=Tensor(np.zeros(out_dim), requires_grad=True),
-    )
-
-
-def linear_zero(in_dim: int, out_dim: int) -> Linear:
-    """All-zero layer; under softmax this yields an exactly uniform distribution."""
-    return Linear(
-        W=Tensor(np.zeros((out_dim, in_dim)), requires_grad=True),
         b=Tensor(np.zeros(out_dim), requires_grad=True),
     )
 
@@ -90,10 +83,8 @@ def mlp_init(
     rng: np.random.Generator | None, dims: Sequence[int], zero_output: bool = False
 ) -> Mlp:
     layers = [linear_init(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 2)]
-    if zero_output:
-        layers.append(linear_zero(dims[-2], dims[-1]))
-    else:
-        layers.append(linear_init(rng, dims[-2], dims[-1]))
+    # An all-zero output layer gives an exactly uniform softmax.
+    layers.append(linear_init(None if zero_output else rng, dims[-2], dims[-1]))
     return Mlp(layers=layers)
 
 

@@ -22,8 +22,8 @@ import numpy as np
 # prepare_sequences is imported for callers of this module: the table lives
 # with Dataset, which reads it through ``Dataset.prepared``.
 from .data import (  # noqa: F401
-    ChecksumError, Dataset, DatasetError, PreparedSequence, TruncationError, VersionError,
-    load_dataset, prepare_sequences, replacing,
+    Dataset, DatasetError, PreparedSequence, load_dataset, prepare_sequences, read_framed, replacing,
+    write_framed,
 )
 from .model import CONDITIONINGS, PoseStream, RgbStream, WindowBatch, fuse_logits
 from .nn import AdamState, adam_step, collect_grads, zero_grads
@@ -100,21 +100,25 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         version = d.get("config_version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
-            raise DatasetError(f"config version {version} != supported {CONFIG_VERSION}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+            raise ConfigError(f"config version {version} != supported {CONFIG_VERSION}")
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
-            raise DatasetError(f"unknown config fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**d)
 
     @classmethod
     def load(cls, path: str | Path, overrides: dict | None = None) -> "RunConfig":
-        d = json.loads(Path(path).read_text())
-        if overrides:
-            d.update(overrides)
-        return cls.from_json(d)
+        """The config in the JSON file ``path`` with ``overrides`` laid over
+        it.  A file that is not such a config raises a ``ConfigError`` naming it."""
+        try:
+            d = json.loads(Path(path).read_bytes())
+            return cls.from_json({**d, **overrides} if isinstance(d, dict) and overrides else d)
+        except ValueError as e:  # not JSON, or a ConfigError
+            raise ConfigError(f"config file {path}: {e}") from None
 
 
 def make_batch(samples: list[PreparedSequence], windows: list[np.ndarray]) -> WindowBatch:
@@ -489,83 +493,50 @@ def _write_metrics(path: Path, result: TrainResult) -> None:
 CHECKPOINT_MAGIC = b"POSECKP1"
 CHECKPOINT_VERSION = 3
 
-# Magic, u64 header length, JSON header (with each parameter's shape and the
-# CRC32 of its block), the header's u32 CRC32, then one raw little-endian f64
-# block per parameter: per stream in name order, each parameter in name order.
-
 
 def save_checkpoint(
     path: str | Path, config: RunConfig, dims: ModelDims, result: TrainResult, partial: bool = False
 ) -> None:
     """Write the streams' parameters, which are the best epoch's once
-    ``train_stream`` has returned, with what it takes to rebuild them."""
-    # Streams and parameters in name order, the order the loader reads them in.
+    ``train_stream`` has returned, with what it takes to rebuild them.
+
+    The file is framed by ``data.write_framed``: the header lists each
+    parameter's shape and the CRC32 of its block, and the blocks are raw
+    little-endian f64, per stream in name order, each parameter in name order.
+    """
     arrays = {
         name: {k: np.ascontiguousarray(p.data, dtype="<f8") for k, p in sorted(t.stream.parameters().items())}
         for name, t in sorted(result.streams.items())
     }
-    header = json.dumps(
-        {
-            "version": CHECKPOINT_VERSION,
-            "partial": partial,
-            "config": config.to_json(),
-            "dims": dataclasses.asdict(dims),
-            "dataset_hash": result.dataset.content_hash,
-            "streams": {
-                name: {
-                    "params": {
-                        k: {"shape": list(a.shape), "crc32": zlib.crc32(a)} for k, a in arrays[name].items()
-                    },
-                    "best_epoch": trained.best_epoch,
-                    "best_val_acc": trained.best_val_acc,
-                }
-                for name, trained in result.streams.items()
-            },
+    header = {
+        "version": CHECKPOINT_VERSION,
+        "partial": partial,
+        "config": config.to_json(),
+        "dims": dataclasses.asdict(dims),
+        "dataset_hash": result.dataset.content_hash,
+        "streams": {
+            name: {
+                "params": {k: {"shape": list(a.shape), "crc32": zlib.crc32(a)} for k, a in arrays[name].items()},
+                "best_epoch": trained.best_epoch,
+                "best_val_acc": trained.best_val_acc,
+            }
+            for name, trained in result.streams.items()
         },
-        sort_keys=True,
-    ).encode()
+    }
     # A failed save leaves the previous checkpoint (the preserved best) untouched.
-    with replacing(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(len(header).to_bytes(8, "little"))
-        f.write(header)
-        f.write(zlib.crc32(header).to_bytes(4, "little"))
-        for blocks in arrays.values():
-            for a in blocks.values():
-                f.write(a)
+    write_framed(path, CHECKPOINT_MAGIC, header, (a for blocks in arrays.values() for a in blocks.values()))
 
 
 def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, dict]]:
     """Rebuild the stream models a checkpoint holds.  The header must list
     exactly each stream's parameters at their shapes, every block must match
     its CRC32, and the file must end there; else a ``DatasetError`` names it."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-
-        def left(n: int, what: str) -> None:
-            if n > size - f.tell():
-                raise TruncationError(f"{path}: checkpoint ends inside {what}")
-
-        def read(n: int, what: str) -> bytes:
-            left(n, what)
-            return f.read(n)
-
-        if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise VersionError(f"{path}: not a checkpoint file")
-        header = read(int.from_bytes(read(8, "the header length"), "little"), "the header")
-        header_crc = int.from_bytes(read(4, "the header checksum"), "little")
+    advice = "retrain the model to write one"
+    with read_framed(path, CHECKPOINT_MAGIC, "checkpoint", "version", CHECKPOINT_VERSION, advice) as (meta, block):
         try:
-            version = json.loads(header)["version"]
-        except (ValueError, TypeError, KeyError):
-            version = None  # not a header this program wrote: the checksum rejects it
-        if version not in (None, CHECKPOINT_VERSION):
-            raise VersionError(
-                f"{path}: checkpoint version {version} != {CHECKPOINT_VERSION}; retrain the model to write one"
-            )
-        if zlib.crc32(header) != header_crc:
-            raise ChecksumError(f"{path}: checkpoint header checksum mismatch")
-        meta = json.loads(header)
-        config = RunConfig.from_json(meta["config"])
+            config = RunConfig.from_json(meta["config"])
+        except ConfigError as e:
+            raise DatasetError(f"{path}: checkpoint config: {e}") from None
         dims = ModelDims(**meta["dims"])
         streams: dict[str, dict] = {}
         for name, smeta in sorted(meta["streams"].items()):
@@ -581,19 +552,13 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, d
                 arr = params[pname].data  # zeros of its own, read into in place
                 if tuple(stored[pname]["shape"]) != arr.shape:
                     raise DatasetError(f"{path}: checkpoint {what}: shape {stored[pname]['shape']} != {arr.shape}")
-                block = memoryview(arr).cast("B")
-                left(len(block), what)
-                f.readinto(block)
-                if zlib.crc32(block) != stored[pname]["crc32"]:
-                    raise ChecksumError(f"{path}: checkpoint {what}: checksum mismatch")
+                block(what, arr.nbytes, stored[pname]["crc32"], into=arr)
             streams[name] = {
                 "stream": stream,
                 "best_epoch": smeta["best_epoch"],
                 "best_val_acc": smeta["best_val_acc"],
                 "dataset_hash": meta["dataset_hash"],
             }
-        if f.tell() != size:
-            raise DatasetError(f"{path}: {size - f.tell()} trailing bytes after the last checkpoint block")
     return config, dims, streams
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .gradcheck import grad_check_params
 from .model import CONDITIONINGS, PoseStream, RgbStream, WindowBatch
 from .tensor import Tensor
+from .training import ModelDims, RunConfig, build_pose_stream, build_rgb_stream
 
 
 @dataclass
@@ -82,7 +83,7 @@ def check_rgb_cell(
 ) -> GradCheckCell:
     t0 = perf_counter()
     rng = np.random.default_rng([seed, 1])
-    stream = _rgb_stream(conditioning, use_temporal, dims, rng)
+    stream = _stream((conditioning, use_temporal), dims, rng)
     _shake_zero_params(stream.parameters(), rng)
     batch = _tiny_batch(dims, np.random.default_rng([seed, 2]))
     name = conditioning + ("+ta" if use_temporal else "")
@@ -94,7 +95,7 @@ def check_pose_cell(
 ) -> GradCheckCell:
     t0 = perf_counter()
     rng = np.random.default_rng([seed, 3])
-    stream = _pose_stream(dims, rng)
+    stream = _stream(None, dims, rng)
     _shake_zero_params(stream.parameters(), rng)
     batch = _tiny_batch(dims, np.random.default_rng([seed, 4]))
     return _check_stream("pose_stream", stream, batch, eps, tol, t0)
@@ -114,36 +115,26 @@ def check_cell(
     return check_rgb_cell(conditioning, use_temporal, dims, eps=eps, tol=tol, seed=seed)
 
 
-def _rgb_stream(conditioning: str, use_temporal: bool, dims: TinyDims, rng: np.random.Generator) -> RgbStream:
-    return RgbStream(
-        rng=rng,
+def _stream(cell: tuple[str, bool] | None, dims: TinyDims, rng: np.random.Generator) -> RgbStream | PoseStream:
+    """The stream of one entry of ``CELLS`` at ``dims``, without dropout,
+    built as training builds it."""
+    conditioning, use_temporal = cell or ("pose", True)
+    config = RunConfig(
         conditioning=conditioning,
         use_temporal=use_temporal,
-        n_frames=dims.n_frames,
-        feat_dim=dims.feat_dim,
-        pose_aug_dim=3 * dims.pose_dim,
-        hidden_dim=dims.rgb_hidden,
-        n_classes=dims.n_classes,
+        rgb_hidden=dims.rgb_hidden,
+        pose_hidden=dims.pose_hidden,
         attn_hidden=dims.attn_hidden,
         temporal_hidden=dims.temporal_hidden,
-        dropout_rate=0.0,
+        dropout=0.0,
     )
-
-
-def _pose_stream(dims: TinyDims, rng: np.random.Generator) -> PoseStream:
-    return PoseStream(
-        rng=rng,
-        pose_dim=dims.pose_dim,
-        hidden_dim=dims.pose_hidden,
-        n_layers=3,
-        n_classes=dims.n_classes,
-        dropout_rate=0.0,
-    )
+    model_dims = ModelDims(dims.pose_dim, dims.n_classes, dims.feat_dim, clip_len=dims.n_frames)
+    build = build_pose_stream if cell is None else build_rgb_stream
+    return build(config, model_dims, rng)
 
 
 def _n_params(cell: tuple[str, bool] | None, dims: TinyDims) -> int:
-    rng = np.random.default_rng(0)
-    stream = _pose_stream(dims, rng) if cell is None else _rgb_stream(*cell, dims, rng)
+    stream = _stream(cell, dims, np.random.default_rng(0))
     return sum(p.data.size for p in stream.parameters().values())
 
 

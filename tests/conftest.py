@@ -1,7 +1,19 @@
 import multiprocessing
 import threading
+import time
 
 import pytest
+
+from poseattn.verify import TinyDims, run_gradcheck
+
+
+@pytest.fixture(scope="session")
+def default_gradcheck():
+    """The default ``run_gradcheck(TinyDims())`` report and its wall seconds,
+    built once per session for every test that only reads it."""
+    t0 = time.monotonic()
+    cells = run_gradcheck(TinyDims())
+    return cells, time.monotonic() - t0
 
 
 @pytest.fixture(autouse=True)

@@ -1,5 +1,6 @@
 import json
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -230,6 +231,44 @@ def test_out_of_range_config_is_usage_error(dataset_path, tmp_path, capsys, flag
     assert main(argv + TRAIN_FLAGS + [flag, value]) == 1
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[1]", "config must be a JSON object, got list"),
+        ('{"no_such_field": 1}', "unknown config fields: ['no_such_field']"),
+        ('{"config_version": 2}', "config version 2 != supported 1"),
+        ('{"lr": ', "Expecting value"),
+        ('{"lr": -1}', "config lr: must be a number"),
+    ],
+    ids=["list", "unknown-field", "other-version", "not-json", "out-of-range"],
+)
+def test_config_file_that_is_no_config_is_usage_error_naming_it(tmp_path, capsys, text, reason):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main(["train", "--config", str(path), "--seed", "7", "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: config file {path}: {reason}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_checkpoint_with_an_invalid_config_is_data_error(dataset_path, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--dataset", str(dataset_path), "--out", str(run_dir)] + TRAIN_FLAGS) == 0
+    blob = (run_dir / "checkpoint.bin").read_bytes()
+    header_end = 16 + int.from_bytes(blob[8:16], "little")
+    meta = json.loads(blob[16:header_end])
+    header = json.dumps({**meta, "config": {**meta["config"], "batch_size": 0}}, sort_keys=True).encode()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(
+        blob[:8] + len(header).to_bytes(8, "little") + header + zlib.crc32(header).to_bytes(4, "little")
+        + blob[header_end + 4 :]
+    )
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_path)]) == 2
+    assert f"{bad}: checkpoint config: config batch_size:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -92,15 +92,20 @@ def saved(tmp_path, **kw):
 
 
 def split_file(path):
-    """(manifest dict, payload bytes) of a saved dataset file."""
+    """(manifest dict, payload bytes) of a saved dataset file: the payload
+    starts after the manifest header's 4-byte CRC32."""
     blob = path.read_bytes()
     n = int.from_bytes(blob[8:16], "little")
-    return json.loads(blob[16 : 16 + n]), blob[16 + n :]
+    return json.loads(blob[16 : 16 + n]), blob[16 + n + 4 :]
 
 
-def write_file(path, manifest, payload):
-    header = json.dumps(manifest, sort_keys=True).encode()
-    path.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header + payload)
+def write_file(path, manifest, payload, checksum=True):
+    """A dataset file of ``manifest`` (a dict, or raw header bytes) and
+    ``payload``, with the header's CRC32 unless ``checksum`` is False, as
+    formats 1 and 2 wrote it."""
+    header = manifest if isinstance(manifest, bytes) else json.dumps(manifest, sort_keys=True).encode()
+    crc = zlib.crc32(header).to_bytes(4, "little") if checksum else b""
+    path.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header + crc + payload)
 
 
 def rewrite_manifest(path, edit):
@@ -117,7 +122,7 @@ def test_truncation_names_failing_record(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "keep, where", [(12, "the manifest length field"), (40, "the manifest header")]
+    "keep, where", [(12, "the dataset header length field"), (40, "the dataset header")]
 )
 def test_truncated_header_names_the_file(tmp_path, keep, where):
     path = saved(tmp_path)
@@ -142,12 +147,23 @@ def test_bad_magic_is_version_error(tmp_path):
         load_dataset(path)
 
 
-def test_header_that_is_not_json_names_the_file(tmp_path):
+@pytest.mark.parametrize("header", [b"#{}", b"[3]", b'{"n_classes": 2}'], ids=["not-json", "list", "no-version"])
+def test_header_that_is_not_a_versioned_object_names_the_file(tmp_path, header):
+    # The header's checksum matches, so only the reader's check of its content catches it.
+    path = saved(tmp_path)
+    write_file(path, header, split_file(path)[1])
+    with pytest.raises(
+        ManifestError, match=f"{re.escape(str(path))}: dataset header is not a JSON object with a format_version"
+    ):
+        load_dataset(path)
+
+
+def test_a_changed_header_byte_is_a_checksum_error(tmp_path):
     path = saved(tmp_path)
     blob = bytearray(path.read_bytes())
     blob[16] = ord("#")  # the manifest's opening brace
     path.write_bytes(bytes(blob))
-    with pytest.raises(ManifestError, match=f"{re.escape(str(path))}: bad manifest header"):
+    with pytest.raises(ChecksumError, match=f"{re.escape(str(path))}: dataset header checksum mismatch"):
         load_dataset(path)
 
 
@@ -197,28 +213,33 @@ def write_version_1(path, ds):
         rec.update(offset=offset, nbytes=len(block), crc32=zlib.crc32(block))
         offset += len(block)
         blocks.append(block)
-    write_file(path, manifest, b"".join(blocks))
+    write_file(path, manifest, b"".join(blocks), checksum=False)
 
 
-def test_version_1_file_must_be_regenerated(tmp_path):
-    path = tmp_path / "v1.bin"
-    write_version_1(path, tiny_dataset())
+def write_version_2(path, ds):
+    """The file format 2 wrote: format 3 without the header's CRC32."""
+    save_dataset(path, ds)
+    manifest, payload = split_file(path)
+    manifest["format_version"] = 2
+    write_file(path, manifest, payload, checksum=False)
+
+
+@pytest.mark.parametrize("version, write", [(1, write_version_1), (2, write_version_2)])
+def test_old_format_file_must_be_regenerated(tmp_path, version, write):
+    path = tmp_path / f"v{version}.bin"
+    write(path, tiny_dataset())
     with pytest.raises(VersionError) as err:
         load_dataset(path)
     message = str(err.value)
-    assert message.startswith(f"{path}: format version 1")
-    assert "drops record offsets and hands2d" in message
+    assert message.startswith(f"{path}: dataset format_version {version} != 3")
     assert "poseattn synth" in message
 
 
 def test_wrong_format_version_rejected(tmp_path):
-    ds = tiny_dataset()
-    path = tmp_path / "tiny.bin"
-    save_dataset(path, ds)
-    manifest_json = ds.manifest.to_json()
-    manifest_json["format_version"] = 99
-    with pytest.raises(VersionError, match="99"):
-        DatasetManifest.from_json(manifest_json)
+    path = saved(tmp_path)
+    rewrite_manifest(path, lambda m: m.update(format_version=99))
+    with pytest.raises(VersionError, match=f"{re.escape(str(path))}: dataset format_version 99 != 3"):
+        load_dataset(path)
 
 
 def test_duplicate_ids_rejected():
@@ -352,10 +373,11 @@ CORRUPTION_SEED = 20170
 
 
 def section_bounds(path):
-    """Offsets at which the magic, the length field, the header and each
-    record block start, then the file's end."""
+    """Offsets at which the magic, the length field, the header, its
+    checksum and each record block start, then the file's end."""
     manifest, payload = split_file(path)
-    bounds = [0, len(MAGIC), len(MAGIC) + 8, path.stat().st_size - len(payload)]
+    first_block = path.stat().st_size - len(payload)
+    bounds = [0, len(MAGIC), len(MAGIC) + 8, first_block - 4, first_block]
     for rec in manifest["records"]:
         bounds.append(bounds[-1] + rec["nbytes"])
     return bounds
@@ -408,20 +430,18 @@ def test_a_flipped_bit_in_every_block_is_a_checksum_error(corruptible):
     whole, bounds, path = corruptible
     rng = np.random.default_rng(CORRUPTION_SEED)
     ids = [r["id"] for r in json.loads(whole[bounds[2] : bounds[3]])["records"]]
-    for seq_id, lo, hi in zip(ids, bounds[3:], bounds[4:]):
+    for seq_id, lo, hi in zip(ids, bounds[4:], bounds[5:]):
         for bit in rng.integers(8 * lo, 8 * hi, 8):
             path.write_bytes(flipped(whole, bit))
             with pytest.raises(ChecksumError, match=f"{re.escape(str(path))}: record {seq_id}: checksum"):
                 load_dataset(path)
 
 
-def test_a_flipped_bit_in_the_header_fails_or_changes_the_hash(corruptible):
+def test_a_flipped_bit_in_the_header_or_its_checksum_fails(corruptible):
     whole, bounds, path = corruptible
-    original = hashlib.sha256(whole).hexdigest()
     rng = np.random.default_rng(CORRUPTION_SEED)
-    for bit in rng.integers(8 * bounds[2], 8 * bounds[3], 400):
-        loaded = load_corrupt(path, flipped(whole, bit))
-        assert loaded is None or loaded.content_hash != original, bit
+    for bit in rng.integers(8 * bounds[2], 8 * bounds[4], 400):
+        assert load_corrupt(path, flipped(whole, bit)) is None, bit
 
 
 def set_field(key, value):

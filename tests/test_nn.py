@@ -18,7 +18,6 @@ from poseattn.nn import (
     gru_init,
     gru_stack_init,
     linear_init,
-    linear_zero,
     mlp_init,
 )
 from poseattn.tensor import NumericError, ShapeError, Tensor
@@ -59,7 +58,7 @@ class TestLinear:
 
 class TestMlp:
     def test_zero_params_softmax_is_uniform(self):
-        mlp = nn.Mlp(layers=[linear_zero(8, 16), linear_zero(16, 4)])
+        mlp = nn.Mlp(layers=[linear_init(None, 8, 16), linear_init(None, 16, 4)])
         out = T.softmax(mlp(Tensor(np.random.default_rng(0).normal(size=(3, 8)))))
         assert np.array_equal(out.data, np.full((3, 4), 0.25))
 

@@ -496,11 +496,11 @@ class TestConfig:
         assert RunConfig.from_json(config.to_json()) == config
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(DatasetError, match="unknown config"):
+        with pytest.raises(ConfigError, match="unknown config"):
             RunConfig.from_json({**RunConfig().to_json(), "rate": 3})
 
     def test_version_mismatch_rejected(self):
-        with pytest.raises(DatasetError, match="version"):
+        with pytest.raises(ConfigError, match="version"):
             RunConfig.from_json({**RunConfig().to_json(), "config_version": 2})
 
     @pytest.mark.parametrize(

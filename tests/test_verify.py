@@ -10,9 +10,9 @@ from poseattn import verify
 from poseattn.verify import TinyDims, check_pose_cell, check_rgb_cell, format_report, run_gradcheck
 
 
-@pytest.fixture(scope="module")
-def report():
-    return run_gradcheck(TinyDims())
+@pytest.fixture
+def report(default_gradcheck):
+    return default_gradcheck[0]
 
 
 def test_all_variant_cells_pass(report):
