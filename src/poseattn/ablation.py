@@ -10,9 +10,10 @@ which inherits it) trains on that one prepared table.  A cell hands back the
 test logits its run computed and writes its attention dump from the stream
 it trained in memory, with each sequence's prediction taken from those
 logits, so the grid reads no checkpoint back and scores each stream once per
-split.  In two-stream mode one pose stream per seed is shared by every row
-and fused at the logit level: each row's logits plus the pose run's, the
-same sums that scoring both streams together gives.
+split.  In two-stream mode each seed's pose run is one more job, queued
+first, and is fused with every cell of its seed at the logit level: each
+cell's logits plus the pose run's, the same sums that scoring both streams
+together gives.  A failed pose run fails every cell of its seed.
 """
 from __future__ import annotations
 
@@ -91,8 +92,8 @@ def _use_dataset(dataset: Dataset) -> None:
 
 
 def _run_cell(payload: dict, dataset: Dataset | None = None) -> dict:
-    """Train one grid cell and write its attention dump; module-level so a
-    process pool can pickle it.
+    """Train one grid job (a cell, or a pose run) and write its attention
+    dump if it asks for one; module-level so a process pool can pickle it.
 
     Pool workers pass no ``dataset`` and use the one their initializer got.
     """
@@ -122,20 +123,21 @@ def run_ablation(
 ) -> list[CellResult]:
     out_dir = Path(out_dir)
     row_names = rows if rows is not None else [name for name, _, _ in GRID_ROWS]
-    # Every cell's config is checked before any cell trains.
+    for what, given in (("row", row_names), ("seed", seeds)):
+        for i, x in enumerate(given):
+            if x in given[:i]:
+                raise ConfigError(f"grid {what} {x!r} is given more than once")
+    # Every job's config is checked before any job trains.  The pose runs,
+    # the longest jobs, go first: the pool submits in list order.
+    jobs = [("pose", seed, replace(base, variant="pose", seed=seed), False) for seed in seeds if two_stream]
+    jobs += [(row, seed, cell_config(base, row, seed), attention_dumps) for row in row_names for seed in seeds]
     payloads = [
-        {
-            "row": row,
-            "seed": seed,
-            "config": cell_config(base, row, seed, out_dir / f"{row}-seed{seed}").to_json(),
-            "dumps": attention_dumps,
-        }
-        for row in row_names
-        for seed in seeds
+        {"row": r, "seed": s, "config": replace(c, out_dir=str(out_dir / f"{r}-seed{s}")).to_json(), "dumps": d}
+        for r, s, c, d in jobs
     ]
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(base.dataset)
-    dataset.prepared  # prepared here, once: serial cells share it, forked workers inherit it
+    dataset.prepared  # prepared here, once: serial jobs share it, forked workers inherit it
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_use_dataset, initargs=(dataset,)) as pool:
             raw = list(pool.map(_run_cell, payloads))
@@ -144,37 +146,29 @@ def run_ablation(
     results = [CellResult(**r) for r in raw]
 
     if two_stream:
-        results = _fuse_with_pose(base, dataset, seeds, out_dir, results)
+        results = _fuse_with_pose(dataset, results[: len(seeds)], results[len(seeds) :])
     _write_grid(out_dir, results, row_names, seeds)
     return results
 
 
-def _fuse_with_pose(
-    base: RunConfig, dataset: Dataset, seeds: list[int], out_dir: Path, results: list[CellResult]
-) -> list[CellResult]:
-    """Fuse every completed cell with one shared pose stream per seed.
-
-    Each seed's pose run scores its stream once per split; each cell adds
-    its own test logits to those, as ``predict_logits`` over both streams would.
-    """
-    pose_by_seed: dict[int, TrainResult] = {}
-    for seed in seeds:
-        config = replace(
-            base, variant="pose", seed=seed, out_dir=str(out_dir / f"pose-seed{seed}")
-        )
-        pose_by_seed[seed] = run_train(config, dataset=dataset)
+def _fuse_with_pose(dataset: Dataset, poses: list[CellResult], cells: list[CellResult]) -> list[CellResult]:
+    """Fuse every completed cell with its seed's pose run: the cell's test
+    logits plus the pose run's, as ``predict_logits`` over both streams would
+    give.  A failed pose run fails every cell of its seed."""
+    pose_by_seed = {pose.seed: pose for pose in poses}
     fused: list[CellResult] = []
-    for cell in results:
+    for cell in cells:
+        pose = pose_by_seed[cell.seed]
         if cell.status != "ok":
             fused.append(cell)
-            continue
-        pose = pose_by_seed[cell.seed]
-        logits = {split: fuse_logits(pose.test_logits[split], rgb) for split, rgb in cell.logits.items()}
-        acc = {
-            split: accuracy(logits[split], dataset.prepared, dataset.manifest.split_ids(split))
-            for split in cell.acc
-        }
-        fused.append(replace(cell, acc=acc, logits=logits))
+        elif pose.status != "ok":
+            status = "failed: pose stream " + pose.status.removeprefix("failed: ")
+            fused.append(replace(cell, status=status, acc={}, logits={}, trace=pose.trace))
+        else:
+            logits = {split: fuse_logits(pose.logits[split], rgb) for split, rgb in cell.logits.items()}
+            ids = dataset.manifest.split_ids
+            acc = {split: accuracy(logits[split], dataset.prepared, ids(split)) for split in cell.acc}
+            fused.append(replace(cell, acc=acc, logits=logits))
     return fused
 
 

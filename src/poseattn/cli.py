@@ -20,7 +20,7 @@ from time import perf_counter
 from .ablation import GRID_ROWS, format_table, run_ablation
 from .data import DatasetError, export_manifest_json, load_dataset, save_dataset
 from .gradcheck import EPS_RANGE
-from .synth import SyntheticSpec, generate
+from .synth import KINDS, SyntheticSpec, generate
 from .tensor import GraphError, NumericError, ShapeError
 from .training import (
     CONFIG_CHOICES,
@@ -90,11 +90,16 @@ def _add_checkpoint_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _given(args: argparse.Namespace, cls: type) -> dict:
+    """The given flags that name a field of the dataclass ``cls``, lists as tuples."""
+    names = {f.name for f in fields(cls)}
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in vars(args).items() if k in names and v is not None}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The config file (or the defaults) with every given flag that names a
     ``RunConfig`` field laid over it, and ``--out`` as ``out_dir``."""
-    names = {f.name for f in fields(RunConfig)}
-    overrides = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    overrides = _given(args, RunConfig)
     if getattr(args, "out", None):
         overrides["out_dir"] = str(_out_path(args.out))
     if args.config:
@@ -103,26 +108,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(
-        kind=args.kind,
-        n_classes=args.classes,
-        feat_dim=args.feat_dim,
-        clip_len=args.clip_len,
-        seq_len=args.seq_len,
-        event_width=args.event_width,
-        noise=args.noise,
-        distractor=args.distractor,
-        template_scale=args.template_scale,
-        motion_amp=args.motion_amp,
-        slot_motion_amp=args.slot_amp,
-        counts=tuple(args.counts),
-        seed=args.seed,
-        kind_mix=tuple(args.kind_mix),
-        fake_events=args.fake_events,
-        fix_window_at_end=args.fix_window_at_end,
-        equal_slots=args.equal_slots,
-    )
-    dataset = generate(spec)
+    dataset = generate(SyntheticSpec(**_given(args, SyntheticSpec)))  # flags not given keep their defaults
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(out, dataset)
@@ -239,24 +225,24 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--kind", required=True, choices=["active_hand", "temporal_event", "combined"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--feat-dim", type=int, default=16)
-    p.add_argument("--clip-len", type=int, default=20)
-    p.add_argument("--seq-len", type=int, default=None)
-    p.add_argument("--event-width", type=int, default=4)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--distractor", type=float, default=0.8)
-    p.add_argument("--template-scale", type=float, default=1.0)
-    p.add_argument("--motion-amp", type=float, default=2.0)
-    p.add_argument("--slot-amp", type=float, default=0.4)
-    p.add_argument("--counts", type=int, nargs=3, default=[2000, 500, 500])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kind-mix", type=float, nargs=3, default=[0.35, 0.25, 0.40])
-    p.add_argument("--fake-events", type=int, default=None)
-    p.add_argument("--fix-window-at-end", action="store_true")
-    p.add_argument("--equal-slots", action="store_true")
+    p.add_argument("--classes", dest="n_classes", type=int)
+    p.add_argument("--feat-dim", type=int)
+    p.add_argument("--clip-len", type=int)
+    p.add_argument("--seq-len", type=int)
+    p.add_argument("--event-width", type=int)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--distractor", type=float)
+    p.add_argument("--template-scale", type=float)
+    p.add_argument("--motion-amp", type=float)
+    p.add_argument("--slot-amp", dest="slot_motion_amp", type=float)
+    p.add_argument("--counts", type=int, nargs=3)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--kind-mix", type=float, nargs=3)
+    p.add_argument("--fake-events", type=int)
+    p.add_argument("--fix-window-at-end", action="store_true", default=None)
+    p.add_argument("--equal-slots", action="store_true", default=None)
     p.add_argument("--manifest-out")
     p.set_defaults(fn=_cmd_synth)
 

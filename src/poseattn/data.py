@@ -398,15 +398,18 @@ def save_dataset(path: str | Path, dataset: Dataset) -> None:
     write_framed(path, MAGIC, manifest.to_json(), blocks())
 
 
-def _parse_manifest(path: str | Path, header: dict) -> DatasetManifest:
+@contextmanager
+def header_field(path: str | Path, field: str) -> Iterator[None]:
+    """Raise what the block raises while it reads ``field`` of a file's
+    header as a ``DatasetError`` that names the file and the field."""
     try:
-        return DatasetManifest.from_json(header)
+        yield
     except DatasetError as e:  # duplicate ids
         raise type(e)(f"{path}: {e}") from None
     except KeyError as e:
-        raise ManifestError(f"{path}: manifest field {e} is missing") from None
+        raise ManifestError(f"{path}: {field} field {e} is missing") from None
     except (AttributeError, TypeError, ValueError, OverflowError) as e:  # a field of the wrong type
-        raise ManifestError(f"{path}: bad manifest header: {type(e).__name__}: {e}") from None
+        raise ManifestError(f"{path}: {field}: {e}") from None
 
 
 # Batches of blobs that may wait between the reader and the hashing thread.
@@ -476,7 +479,8 @@ def load_dataset(path: str | Path) -> Dataset:
         _hashing_thread(digest) as feed,
         read_framed(path, MAGIC, "dataset", "format_version", FORMAT_VERSION, advice, feed) as (header, block),
     ):
-        manifest = _parse_manifest(path, header)
+        with header_field(path, "manifest"):
+            manifest = DatasetManifest.from_json(header)
         sequences = {}
         for record in manifest.records:
             expected = _record_nbytes(manifest, record.n_frames)

@@ -22,8 +22,8 @@ import numpy as np
 # prepare_sequences is imported for callers of this module: the table lives
 # with Dataset, which reads it through ``Dataset.prepared``.
 from .data import (  # noqa: F401
-    Dataset, DatasetError, PreparedSequence, load_dataset, prepare_sequences, read_framed, replacing,
-    write_framed,
+    Dataset, DatasetError, PreparedSequence, header_field, load_dataset, prepare_sequences, read_framed,
+    replacing, write_framed,
 )
 from .model import CONDITIONINGS, PoseStream, RgbStream, WindowBatch, fuse_logits
 from .nn import AdamState, adam_step, collect_grads, zero_grads
@@ -527,21 +527,40 @@ def save_checkpoint(
     write_framed(path, CHECKPOINT_MAGIC, header, (a for blocks in arrays.values() for a in blocks.values()))
 
 
+def _typed(header: dict, key: str, kind: type):
+    """``header[key]``, which must be a ``kind``: a bool is not a number."""
+    value = header[key]
+    if type(value) is not kind:
+        raise TypeError(f"field {key!r} is {value!r}, not {kind.__name__}")
+    return value
+
+
 def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, dict]]:
-    """Rebuild the stream models a checkpoint holds.  The header must list
-    exactly each stream's parameters at their shapes, every block must match
-    its CRC32, and the file must end there; else a ``DatasetError`` names it."""
+    """Rebuild the stream models a checkpoint holds.  Every header field must
+    be there with its type, the header must list exactly each stream's
+    parameters at their shapes, every block must match its CRC32, and the
+    file must end there; else a ``DatasetError`` names the file."""
     advice = "retrain the model to write one"
     with read_framed(path, CHECKPOINT_MAGIC, "checkpoint", "version", CHECKPOINT_VERSION, advice) as (meta, block):
-        try:
+        with header_field(path, "checkpoint config"):
             config = RunConfig.from_json(meta["config"])
-        except ConfigError as e:
-            raise DatasetError(f"{path}: checkpoint config: {e}") from None
-        dims = ModelDims(**meta["dims"])
+        with header_field(path, "checkpoint"):
+            dims = _typed(meta, "dims", dict)
+            dims = {f.name: _typed(dims, f.name, int) for f in dataclasses.fields(ModelDims)}
+            if min(dims.values()) < 0:
+                raise ValueError(f"field 'dims' is {dims}, with a size below 0")
+            dims, dataset_hash = ModelDims(**dims), _typed(meta, "dataset_hash", str)
+            stored_streams = sorted(_typed(meta, "streams", dict).items())
+            if not stored_streams:
+                raise ValueError("field 'streams' is empty")
         streams: dict[str, dict] = {}
-        for name, smeta in sorted(meta["streams"].items()):
-            stream = _fresh_stream(name, config, dims, drawn=False)
-            params, stored = stream.parameters(), smeta["params"]
+        for name, smeta in stored_streams:
+            with header_field(path, f"checkpoint {name} stream"):
+                listed = _typed(smeta, "params", dict)
+                stored = {k: (_typed(p, "shape", list), _typed(p, "crc32", int)) for k, p in listed.items()}
+                best = {key: _typed(smeta, key, kind) for key, kind in (("best_epoch", int), ("best_val_acc", float))}
+                stream = _fresh_stream(name, config, dims, drawn=False)
+            params = stream.parameters()
             if set(params) != set(stored):
                 raise DatasetError(
                     f"{path}: checkpoint {name} stream lacks parameters {sorted(set(params) - set(stored))} "
@@ -550,15 +569,11 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, d
             for pname in sorted(params):
                 what = f"{name} stream parameter {pname}"
                 arr = params[pname].data  # zeros of its own, read into in place
-                if tuple(stored[pname]["shape"]) != arr.shape:
-                    raise DatasetError(f"{path}: checkpoint {what}: shape {stored[pname]['shape']} != {arr.shape}")
-                block(what, arr.nbytes, stored[pname]["crc32"], into=arr)
-            streams[name] = {
-                "stream": stream,
-                "best_epoch": smeta["best_epoch"],
-                "best_val_acc": smeta["best_val_acc"],
-                "dataset_hash": meta["dataset_hash"],
-            }
+                shape, crc32 = stored[pname]
+                if tuple(shape) != arr.shape:
+                    raise DatasetError(f"{path}: checkpoint {what}: shape {shape} != {arr.shape}")
+                block(what, arr.nbytes, crc32, into=arr)
+            streams[name] = {"stream": stream, **best, "dataset_hash": dataset_hash}
     return config, dims, streams
 
 

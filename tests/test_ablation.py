@@ -118,15 +118,16 @@ def test_failed_cell_recorded_and_grid_continues(tiny_dataset_path, tmp_path):
     assert all("DatasetError" in c["trace"] and "Traceback" in c["trace"] for c in cells)
 
 
-def test_parallel_workers_match_sequential(tiny_dataset_path, tmp_path):
+@pytest.mark.parametrize("two_stream", [False, True])
+def test_parallel_workers_match_sequential(tiny_dataset_path, tmp_path, two_stream):
     base = base_config(tiny_dataset_path)
     seq = run_ablation(
         base, seeds=[0], out_dir=tmp_path / "seq", rows=["sum", "sa_pose"],
-        attention_dumps=True,
+        two_stream=two_stream, attention_dumps=True,
     )
     par = run_ablation(
         base, seeds=[0], out_dir=tmp_path / "par", rows=["sum", "sa_pose"],
-        workers=2, attention_dumps=True,
+        two_stream=two_stream, workers=2, attention_dumps=True,
     )
     assert [(c.row, c.seed, c.status, c.acc) for c in seq] == [
         (c.row, c.seed, c.status, c.acc) for c in par
@@ -134,6 +135,10 @@ def test_parallel_workers_match_sequential(tiny_dataset_path, tmp_path):
     for cell in ("sum-seed0", "sa_pose-seed0"):  # the workers write the dumps
         dump = (tmp_path / "seq" / cell / "attention.jsonl").read_bytes()
         assert dump and dump == (tmp_path / "par" / cell / "attention.jsonl").read_bytes(), cell
+    if two_stream:  # the pose run trains in a worker too
+        for name in ("metrics.csv", "result.json"):
+            pose = [(tmp_path / side / "pose-seed0" / name).read_bytes() for side in ("seq", "par")]
+            assert pose[0] == pose[1], name
 
 
 def test_pool_workers_train_on_the_parents_dataset(tiny_dataset_path, tmp_path, monkeypatch):
@@ -175,6 +180,40 @@ def test_two_stream_mode_fuses_with_shared_pose(tiny_dataset_path, tmp_path, mon
     assert (tmp_path / "grid2" / "pose-seed0" / "checkpoint.bin").exists()
     assert (tmp_path / "grid2" / "sa_pose-seed0" / "attention.jsonl").exists()
     assert loads == [tiny_dataset_path]  # serial cells, fusion and dumps share one load
+
+
+def test_a_failed_pose_run_fails_only_the_cells_of_its_seed(tiny_dataset_path, tmp_path, monkeypatch):
+    real_run_train = ablation.run_train
+
+    def pose_seed0_raises(config, dataset=None):
+        if config.variant == "pose" and config.seed == 0:
+            raise training.NumericError("pose went wrong")
+        return real_run_train(config, dataset=dataset)
+
+    base = base_config(tiny_dataset_path)
+    fused = run_ablation(
+        base, seeds=[0, 1], out_dir=tmp_path / "fused", rows=["sum", "ta"], two_stream=True, attention_dumps=False,
+    )
+    monkeypatch.setattr(ablation, "run_train", pose_seed0_raises)
+    out = tmp_path / "grid"
+    results = run_ablation(
+        base, seeds=[0, 1], out_dir=out, rows=["sum", "ta"], two_stream=True, attention_dumps=False,
+    )
+    failed = "failed: pose stream NumericError: pose went wrong"
+    assert [(c.row, c.seed, c.status) for c in results] == [
+        ("sum", 0, failed), ("sum", 1, "ok"), ("ta", 0, failed), ("ta", 1, "ok"),
+    ]
+    assert [c.acc for c in results if c.seed == 1] == [c.acc for c in fused if c.seed == 1]
+    cells = json.loads((out / "grid.json").read_text())
+    assert [c["status"] for c in cells] == [c.status for c in results]
+    for cell in cells:
+        if cell["seed"] == 0:
+            assert "pose went wrong" in cell["trace"] and "pose_seed0_raises" in cell["trace"]
+        else:
+            assert "trace" not in cell
+    csv = (out / "grid.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in csv[1:]] == [failed, "ok", failed, "ok"]
+    assert "ta" in (out / "grid.txt").read_text()
 
 
 def test_two_stream_grid_scores_the_pose_stream_once_per_split(tiny_dataset_path, tmp_path, monkeypatch):

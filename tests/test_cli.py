@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import zlib
@@ -7,6 +8,7 @@ import pytest
 
 from poseattn.cli import _config_from_args, build_parser, main
 from poseattn.data import dataset_content_hash, load_dataset, save_dataset
+from poseattn.synth import SyntheticSpec
 from poseattn.training import RunConfig
 
 
@@ -254,21 +256,84 @@ def test_config_file_that_is_no_config_is_usage_error_naming_it(tmp_path, capsys
     assert not (tmp_path / "run").exists()
 
 
-def test_checkpoint_with_an_invalid_config_is_data_error(dataset_path, tmp_path, capsys):
-    run_dir = tmp_path / "run"
+@pytest.fixture(scope="module")
+def checkpoint_path(dataset_path, tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("ckpt") / "run"
     assert main(["train", "--dataset", str(dataset_path), "--out", str(run_dir)] + TRAIN_FLAGS) == 0
-    blob = (run_dir / "checkpoint.bin").read_bytes()
+    return run_dir / "checkpoint.bin"
+
+
+def rewrite_header(src, dst, edit) -> None:
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its JSON
+    header, and the header's checksum recomputed."""
+    blob = src.read_bytes()
     header_end = 16 + int.from_bytes(blob[8:16], "little")
     meta = json.loads(blob[16:header_end])
-    header = json.dumps({**meta, "config": {**meta["config"], "batch_size": 0}}, sort_keys=True).encode()
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(
+    edit(meta)
+    header = json.dumps(meta, sort_keys=True).encode()
+    dst.write_bytes(
         blob[:8] + len(header).to_bytes(8, "little") + header + zlib.crc32(header).to_bytes(4, "little")
         + blob[header_end + 4 :]
     )
+
+
+def test_checkpoint_with_an_invalid_config_is_data_error(dataset_path, checkpoint_path, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    rewrite_header(checkpoint_path, bad, lambda meta: meta["config"].update(batch_size=0))
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_path)]) == 2
     assert f"{bad}: checkpoint config: config batch_size:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda meta: meta.pop("dims"), "'dims'"),
+        (lambda meta: meta["dims"].update(clip_len=-1), "clip_len"),
+        (lambda meta: meta.update(streams=[1]), "'streams'"),
+        (lambda meta: meta.update(streams={}), "'streams'"),
+        (lambda meta: meta.update(dataset_hash=None), "'dataset_hash'"),
+        (lambda meta: meta["streams"]["rgb"].update(params=[1]), "'params'"),
+        (lambda meta: meta["streams"]["rgb"]["params"]["head.b"].pop("crc32"), "'crc32'"),
+        (lambda meta: meta["streams"]["rgb"].pop("best_epoch"), "'best_epoch'"),
+        (lambda meta: meta["streams"]["rgb"].update(best_val_acc="x"), "'best_val_acc'"),
+    ],
+    ids=[
+        "no dims", "negative clip_len", "streams a list", "no streams", "null dataset_hash", "params a list",
+        "no crc32", "no best_epoch", "best_val_acc a string",
+    ],
+)
+def test_bad_checkpoint_header_field_is_data_error_naming_file_and_field(
+    dataset_path, checkpoint_path, tmp_path, capsys, edit, field
+):
+    bad = tmp_path / "bad.bin"
+    rewrite_header(checkpoint_path, bad, edit)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: checkpoint" in err and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows, seeds, repeat", [("sum,sum", ["0"], "row 'sum'"), ("sum", ["0", "0"], "seed 0")])
+def test_repeated_grid_row_or_seed_is_usage_error_before_any_cell(dataset_path, tmp_path, capsys, rows, seeds, repeat):
+    grid = tmp_path / "grid"
+    code = main([
+        "ablate", "--dataset", str(dataset_path), "--out", str(grid), "--rows", rows, "--seeds", *seeds,
+        "--two-stream", "--no-dumps", "--feat-dim", "16", "--rgb-hidden", "8", "--max-epochs", "1",
+    ])
+    assert code == 1
+    assert f"usage error: grid {repeat} is given more than once" in capsys.readouterr().err
+    assert not grid.exists()
+
+
+def test_bare_synth_records_the_spec_defaults(tmp_path):
+    out = tmp_path / "te.bin"
+    assert main(["synth", "--kind", "temporal_event", "--out", str(out)]) == 0
+    spec = dataclasses.asdict(SyntheticSpec(kind="temporal_event"))
+    assert load_dataset(out).manifest.provenance["spec"] == {
+        k: list(v) if isinstance(v, tuple) else v for k, v in spec.items()
+    }
 
 
 @pytest.mark.parametrize(
