@@ -1,6 +1,19 @@
 """Two-stream action recognition with pose-conditioned spatial and
 temporal attention, built on a self-contained reverse-mode autodiff core."""
 
+import os
+import sys
+
+# Thread settings that BLAS and OpenMP read when numpy loads them.  One
+# thread unless the caller set one: a run's bits then do not depend on the
+# machine, and the package's own GEMM split (``tensor._mm``) uses the second
+# CPU without oversubscribing it.  A pin set after numpy has loaded does
+# nothing; ``NUMPY_LOADED_BEFORE_PIN`` records that for ``timing.json``.
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+NUMPY_LOADED_BEFORE_PIN = "numpy" in sys.modules
+for _var in THREAD_ENV:
+    os.environ.setdefault(_var, "1")
+
 from .tensor import GraphError, NumericError, ShapeError, Tape, Tensor
 from .gradcheck import GradCheckResult, grad_check, grad_check_params
 from .model import PoseStream, RgbStream, StreamOutput, WindowBatch, fuse_logits

@@ -7,7 +7,6 @@ so the first softmax is exactly uniform.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -292,23 +291,8 @@ def adam_step(state: AdamState, params: dict[str, Tensor], grads: dict[str, np.n
     coeffs = (state.lr, state.beta1, state.beta2, state.eps, 1.0 - state.beta1**t, 1.0 - state.beta2**t)
     if sum(g.size for g in grads.values()) < ADAM_THREAD_MIN or len(os.sched_getaffinity(0)) < 2:
         _adam_blocks(blocks, coeffs)
-        return
-    failed: list[BaseException] = []
-
-    def helper() -> None:
-        try:
-            _adam_blocks(blocks[1::2], coeffs)
-        except BaseException as e:
-            failed.append(e)
-
-    thread = threading.Thread(target=helper, name="poseattn-adam", daemon=True)
-    thread.start()
-    try:
-        _adam_blocks(blocks[::2], coeffs)
-    finally:
-        thread.join()
-    if failed:
-        raise failed[0]
+    else:
+        T.on_two_cpus(lambda: _adam_blocks(blocks[::2], coeffs), lambda: _adam_blocks(blocks[1::2], coeffs))
 
 
 def _adam_blocks(blocks: list, coeffs: tuple) -> None:

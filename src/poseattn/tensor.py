@@ -13,6 +13,7 @@ float64: the gradient checker drives the test suite and needs the headroom.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from typing import Callable, Sequence
 
@@ -182,6 +183,54 @@ def _make(out_data: Array, op: str, parents: Sequence[Tensor], vjps: Sequence[Ca
     return out
 
 
+def on_two_cpus(here: Callable[[], object], helper: Callable[[], object]) -> None:
+    """Run ``here`` on this thread while ``helper`` runs on a helper thread.
+    The helper is joined whether ``here`` returns or raises, and an
+    exception raised on it is re-raised here."""
+    failed: list[BaseException] = []
+
+    def run() -> None:
+        try:
+            helper()
+        except BaseException as e:
+            failed.append(e)
+
+    thread = threading.Thread(target=run, name="poseattn-helper", daemon=True)
+    thread.start()
+    try:
+        here()
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
+# GEMMs of at least this many multiply-adds (M*N*K) split C's rows between
+# two CPUs.  Each row of C then goes through the same K loop as in one whole
+# call, so the bits do not change.  Below about 2M multiply-adds OpenBLAS
+# takes a small-matrix path on which they can; a half of one row, which
+# numpy hands to a matrix-vector routine, changes them at any size.  A
+# thread start and join (about 0.1 ms) is under a tenth of the half of
+# such a GEMM that it takes over.
+MM_SPLIT_MIN = 1 << 26
+
+
+def _mm(a: Array, b: Array, out: Array | None = None) -> Array:
+    """``np.matmul(a, b, out=out)`` for matrices a (M, K) and b (K, N), its
+    bottom rows computed on a helper thread when M*N*K >= ``MM_SPLIT_MIN``,
+    M >= 4 and the process may use more than one CPU.  Bitwise equal to one
+    whole ``np.matmul``."""
+    m, k = a.shape
+    n = b.shape[1]
+    if m < 4 or m * n * k < MM_SPLIT_MIN or len(os.sched_getaffinity(0)) < 2:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((m, n), np.result_type(a, b))
+    h = m // 2
+    on_two_cpus(lambda: np.matmul(a[:h], b, out=out[:h]), lambda: np.matmul(a[h:], b, out=out[h:]))
+    return out
+
+
 def _reduce_to(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum a gradient over the leading axes introduced by broadcasting."""
     extra = grad.ndim - len(shape)
@@ -267,13 +316,13 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: {xd.shape} @ {Wd.shape}.T{bias} do not conform")
     n_out, n_in = Wd.shape
     x2 = xd.reshape(-1, n_in)
-    out2 = x2 @ Wd.T
+    out2 = _mm(x2, Wd.T)
 
     def vjp_x(g):
-        return (g.reshape(-1, n_out) @ Wd).reshape(xd.shape)
+        return _mm(g.reshape(-1, n_out), Wd).reshape(xd.shape)
 
     def vjp_W(g):
-        return g.reshape(-1, n_out).T @ x2
+        return _mm(g.reshape(-1, n_out).T, x2)
 
     def vjp_b(g):
         return g.reshape(-1, n_out).sum(axis=0)
@@ -527,8 +576,8 @@ def _gru_dU(d_rows: Array, h_rows: Array, rh_rows: Array) -> Array:
     states the steps started from (n, H) and of r * h (n, H)."""
     H = h_rows.shape[1]
     dU = np.empty((3 * H, H))
-    np.matmul(d_rows[:, : 2 * H].T, h_rows, out=dU[: 2 * H])
-    np.matmul(d_rows[:, 2 * H :].T, rh_rows, out=dU[2 * H :])
+    _mm(d_rows[:, : 2 * H].T, h_rows, out=dU[: 2 * H])
+    _mm(d_rows[:, 2 * H :].T, rh_rows, out=dU[2 * H :])
     return dU
 
 
@@ -735,19 +784,19 @@ def attend_scan(
 
     # Each weight gradient multiplies by the rows of all frames, time-major.
     def vjp_W0(g):
-        return sweep(g)[0].T @ np.concatenate(xs)
+        return _mm(sweep(g)[0].T, np.concatenate(xs))
 
     def vjp_b0(g):
         return sweep(g)[0].sum(axis=0)
 
     def vjp_W1(g):
-        return sweep(g)[1].T @ np.concatenate(us)
+        return _mm(sweep(g)[1].T, np.concatenate(us))
 
     def vjp_b1(g):
         return sweep(g)[1].sum(axis=0)
 
     def vjp_W(g):
-        return sweep(g)[2].T @ np.concatenate(ctxs)
+        return _mm(sweep(g)[2].T, np.concatenate(ctxs))
 
     def vjp_b(g):
         return sweep(g)[2].sum(axis=0)

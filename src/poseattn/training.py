@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import NUMPY_LOADED_BEFORE_PIN, THREAD_ENV
+
 # prepare_sequences is imported for callers of this module: the table lives
 # with Dataset, which reads it through ``Dataset.prepared``.
 from .data import (  # noqa: F401
@@ -397,18 +399,16 @@ class TrainResult:
         return [t.stream for t in self.streams.values()]
 
 
-# Thread settings that BLAS and OpenMP read when numpy loads them.
-THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def blas_setup() -> dict:
     """The BLAS numpy was built with, the thread variables this process sees
-    (None when unset) and the CPUs it may run on.  The thread count OpenBLAS
-    actually runs is not read: that needs ``threadpoolctl``."""
+    (None when unset), whether numpy had loaded before the package set them
+    (the pin then did nothing) and the CPUs it may run on.  The thread count
+    OpenBLAS actually runs is not read: that needs ``threadpoolctl``."""
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
     return {
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "thread_env": {var: os.environ.get(var) for var in THREAD_ENV},
+        "numpy_loaded_before_pin": NUMPY_LOADED_BEFORE_PIN,
         "cpus": len(os.sched_getaffinity(0)),
     }
 
@@ -556,6 +556,8 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, d
         streams: dict[str, dict] = {}
         for name, smeta in stored_streams:
             with header_field(path, f"checkpoint {name} stream"):
+                if name not in _STREAM_TAG:
+                    raise ValueError(f"field 'streams' names a stream other than {sorted(_STREAM_TAG)}")
                 listed = _typed(smeta, "params", dict)
                 stored = {k: (_typed(p, "shape", list), _typed(p, "crc32", int)) for k, p in listed.items()}
                 best = {key: _typed(smeta, key, kind) for key, kind in (("best_epoch", int), ("best_val_acc", float))}

@@ -6,6 +6,7 @@ synthetic datasets and training seeds are pinned throughout.  The heavier
 criteria print their measured numbers (visible with ``-s`` or on failure).
 """
 import json
+import os
 import time
 
 import numpy as np
@@ -63,6 +64,7 @@ def combined_grid(combined_path, workdir):
         out_dir=workdir / "grid",
         rows=rows,
         attention_dumps=False,
+        workers=os.cpu_count(),
     )
     return base, results
 

@@ -1,15 +1,21 @@
 import dataclasses
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import poseattn
 from poseattn.cli import _config_from_args, build_parser, main
 from poseattn.data import dataset_content_hash, load_dataset, save_dataset
 from poseattn.synth import SyntheticSpec
-from poseattn.training import RunConfig
+from poseattn.training import THREAD_ENV, RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +98,32 @@ def test_ablate_subset(dataset_path, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "sa_pose" in out
     assert (tmp_path / "grid" / "grid.csv").exists()
+
+
+def test_ablate_writes_the_same_bits_with_the_thread_variables_unset_or_one(dataset_path, tmp_path):
+    # poseattn pins BLAS and OpenMP to one thread unless the caller set them.
+    # Unpinned, OpenBLAS would run one thread per CPU, and the gradient of
+    # gru.U over a 20-window batch, (96, 400) @ (400, 48), would change bits.
+    src = str(Path(poseattn.__file__).resolve().parent.parent)
+    grid = tmp_path / "grid"  # the checkpoint header holds out_dir
+    runs = []
+    for value in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_ENV}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        if value is not None:
+            env.update(dict.fromkeys(THREAD_ENV, value))
+        subprocess.run([
+            sys.executable, "-m", "poseattn.cli", "ablate", "--dataset", str(dataset_path), "--out", str(grid),
+            "--rows", "sa_pose", "--seeds", "0", "--no-dumps", "--feat-dim", "16", "--rgb-hidden", "48",
+            "--attn-hidden", "8", "--max-epochs", "2", "--dropout", "0", "--batch-size", "20",
+        ], env=env, check=True, capture_output=True)
+        cell = grid / "sa_pose-seed0"
+        timing = json.loads((cell / "timing.json").read_text())
+        assert timing["thread_env"] == dict.fromkeys(THREAD_ENV, "1")
+        assert timing["numpy_loaded_before_pin"] is False
+        runs.append({name: (cell / name).read_bytes() for name in ("metrics.csv", "result.json", "checkpoint.bin")})
+        shutil.rmtree(grid)
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("rows, seed", [("sum,bogus", "0"), ("sum", "-1")])
@@ -297,10 +329,11 @@ def test_checkpoint_with_an_invalid_config_is_data_error(dataset_path, checkpoin
         (lambda meta: meta["streams"]["rgb"]["params"]["head.b"].pop("crc32"), "'crc32'"),
         (lambda meta: meta["streams"]["rgb"].pop("best_epoch"), "'best_epoch'"),
         (lambda meta: meta["streams"]["rgb"].update(best_val_acc="x"), "'best_val_acc'"),
+        (lambda meta: meta["streams"].update(video=meta["streams"].pop("rgb")), "'streams'"),
     ],
     ids=[
         "no dims", "negative clip_len", "streams a list", "no streams", "null dataset_hash", "params a list",
-        "no crc32", "no best_epoch", "best_val_acc a string",
+        "no crc32", "no best_epoch", "best_val_acc a string", "stream of another name",
     ],
 )
 def test_bad_checkpoint_header_field_is_data_error_naming_file_and_field(

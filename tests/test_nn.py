@@ -349,7 +349,7 @@ class TestAdam:
         p = {"w": Tensor(np.zeros(nn.ADAM_THREAD_MIN), requires_grad=True)}
         with pytest.raises(MemoryError, match="helper half"):
             adam_step(AdamState(), p, {"w": np.ones(nn.ADAM_THREAD_MIN)})
-        assert not any(t.name == "poseattn-adam" for t in threading.enumerate())
+        assert not any(t.name == "poseattn-helper" for t in threading.enumerate())
 
     def test_a_non_contiguous_parameter_is_rejected_untouched(self):
         data = np.arange(12.0).reshape(3, 4).T  # a (4, 3) view in column order

@@ -1,4 +1,5 @@
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -485,3 +486,92 @@ def test_no_gradient_of_the_gradcheck_cells_shares_memory(monkeypatch):
     cells = [verify.check_cell(cell, verify.TinyDims()) for cell in verify.CELLS]
     assert len(cells) == 11
     assert problems == []
+
+
+# Every GEMM that a paper-scale RGB training step or eval forward (features
+# 2048, GRU 1024, attention MLP 256, batch 32 x clip 20, 640 frame rows;
+# ``pose`` and ``both`` conditioning) splits, in its memory layout: x @ W.T in
+# linear's forward (eval batches of 320 and 120 rows too, and an odd count),
+# g @ W and g.T @ x in its VJPs, the attention's first weight gradient in
+# attend_scan (the state and the pose, 1024 + 144 columns), and _gru_dU's
+# two GEMMs over column slices of d xp into row blocks of dU.  Then the
+# smallest size that splits.
+_SPLIT_GEMMS = {
+    "linear x @ W.T": lambda r: (r.normal(size=(640, 2048)), r.normal(size=(3072, 2048)).T, None),
+    "linear x @ W.T, eval rows": lambda r: (r.normal(size=(320, 2048)), r.normal(size=(3072, 2048)).T, None),
+    "linear x @ W.T, odd rows": lambda r: (r.normal(size=(117, 2048)), r.normal(size=(3072, 2048)).T, None),
+    "linear vjp_x g @ W": lambda r: (r.normal(size=(640, 3072)), r.normal(size=(3072, 2048)), None),
+    "linear vjp_W g.T @ x": lambda r: (r.normal(size=(640, 3072)).T, r.normal(size=(640, 2048)), None),
+    "attend_scan vjp_W0": lambda r: (r.normal(size=(580, 256)).T, r.normal(size=(580, 1168)), None),
+    "_gru_dU z, r rows": lambda r: (
+        r.normal(size=(640, 3072))[:, :2048].T, r.normal(size=(640, 1024)), np.empty((3072, 1024))[:2048]
+    ),
+    "_gru_dU c rows": lambda r: (
+        r.normal(size=(640, 3072))[:, 2048:].T, r.normal(size=(640, 1024)), np.empty((3072, 1024))[2048:]
+    ),
+    "smallest split": lambda r: (r.normal(size=(64, 1024)), r.normal(size=(1024, 1024)), None),
+}
+
+
+@pytest.fixture
+def counted_splits(monkeypatch):
+    """The process may use two CPUs; every ``on_two_cpus`` call is counted."""
+    monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0, 1})
+    calls = []
+    run = T.on_two_cpus
+    monkeypatch.setattr(T, "on_two_cpus", lambda *jobs: calls.append(jobs) or run(*jobs))
+    return calls
+
+
+@pytest.mark.parametrize("name", list(_SPLIT_GEMMS))
+def test_a_split_gemm_is_bitwise_one_matmul(name, counted_splits):
+    a, b, out = _SPLIT_GEMMS[name](np.random.default_rng(zlib.crc32(name.encode())))
+    whole = np.matmul(a, b)
+    got = T._mm(a, b, out=out)
+    assert len(counted_splits) == 1
+    assert out is None or got is out
+    assert got.shape == whole.shape and got.tobytes() == whole.tobytes()
+
+
+def test_a_gemm_below_the_split_size_or_on_one_cpu_runs_whole(counted_splits, monkeypatch):
+    rng = np.random.default_rng(8)
+    a, b = rng.normal(size=(63, 1024)), rng.normal(size=(1024, 1024))
+    assert a.shape[0] * 1024 * 1024 < T.MM_SPLIT_MIN
+    assert np.array_equal(T._mm(a, b), a @ b)
+    # Above the size, but a half of one row would be a matrix-vector
+    # product, whose bits differ from the GEMM's.
+    for m in (2, 3):
+        rows, wide = rng.normal(size=(m, 8192)), rng.normal(size=(8192, 4096))
+        assert m * 8192 * 4096 >= T.MM_SPLIT_MIN
+        assert T._mm(rows, wide).tobytes() == (rows @ wide).tobytes()
+    monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0})
+    a = rng.normal(size=(640, 1024))
+    assert np.array_equal(T._mm(a, b), a @ b)
+    assert counted_splits == []
+
+
+def test_an_error_on_the_helper_thread_is_raised_after_the_join(counted_splits, monkeypatch):
+    caller = threading.current_thread()
+    matmul = np.matmul
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is not caller:
+            raise MemoryError("helper rows")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(T.np, "matmul", failing)
+    with pytest.raises(MemoryError, match="helper rows"):
+        T._mm(np.ones((64, 1024)), np.ones((1024, 1024)))
+    assert len(counted_splits) == 1
+    assert not any(t.name == "poseattn-helper" for t in threading.enumerate())
+
+
+def test_an_error_on_this_thread_still_joins_the_helper():
+    finished = []
+
+    def fail():
+        raise ValueError("this thread")
+
+    with pytest.raises(ValueError, match="this thread"):
+        T.on_two_cpus(fail, lambda: finished.append(time.sleep(0.05)))
+    assert finished == [None]

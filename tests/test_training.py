@@ -276,7 +276,7 @@ class TestTraining:
             out = tmp_path / "run"  # the checkpoint header holds out_dir
             run_train(tiny_config(tiny_dataset_path, max_epochs=1, out_dir=str(out)))
             timing = json.loads((out / "timing.json").read_text())
-            assert set(timing) == {"train_seconds", "blas", "thread_env", "cpus"}
+            assert set(timing) == {"train_seconds", "blas", "thread_env", "numpy_loaded_before_pin", "cpus"}
             assert set(timing["blas"]) == {"name", "version"}
             assert timing["blas"]["name"] and timing["blas"]["version"]
             assert timing["thread_env"] == {
