@@ -18,7 +18,7 @@ from pathlib import Path
 from time import perf_counter
 
 from .ablation import GRID_ROWS, format_table, run_ablation
-from .data import DatasetError, export_manifest_json, load_dataset, save_dataset
+from .data import SPLITS, DatasetError, export_manifest_json, load_dataset, save_dataset
 from .gradcheck import EPS_RANGE
 from .synth import KINDS, SyntheticSpec, generate
 from .tensor import GraphError, NumericError, ShapeError
@@ -114,7 +114,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     save_dataset(out, dataset)
     if args.manifest_out:
         export_manifest_json(dataset.manifest, _out_path(args.manifest_out))
-    counts = {s: len(dataset.manifest.split_ids(s)) for s in ("train", "val", "test_seeds", "test_pool")}
+    counts = {s: len(dataset.manifest.split_ids(s)) for s in SPLITS}
     print(f"wrote {out} ({counts})")
     return EXIT_OK
 

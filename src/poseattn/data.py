@@ -180,9 +180,6 @@ class Dataset:
     sequences: dict[str, SequenceData]
     content_hash: str = ""  # sha256 of the file it was loaded from; "" when built in memory
 
-    def split_items(self, split: str) -> list[tuple[SequenceRecord, SequenceData]]:
-        return [(r, self.sequences[r.seq_id]) for r in self.manifest.records if r.split == split]
-
     @cached_property
     def prepared(self) -> dict[str, PreparedSequence]:
         """``prepare_sequences`` of this dataset, computed on first use and kept

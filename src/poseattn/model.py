@@ -82,24 +82,19 @@ class StreamOutput:
 
 def spatial_attention_weights(
     attn: Mlp,
-    cond: str,
-    pose_aug_t: Tensor | None,
-    h_prev: Tensor,
-    mask_t: np.ndarray | None = None,
+    pose_aug: Tensor,
+    mask: np.ndarray | None = None,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Softmax weights (..., 4) over the hand slots, for inputs of any leading shape."""
-    if cond not in ATTENTION_CONDITIONINGS:
-        raise ValueError(f"conditioning {cond!r} does not use an attention network")
-    parts = [pose_aug_t] if cond in POSE_CONDITIONINGS else []
-    if cond in HIDDEN_CONDITIONINGS:
-        parts.append(h_prev)
-    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
-    logits = attn(x, dropout_rate=dropout_rate, rng=rng, training=training)
-    if mask_t is not None:
-        logits = T.add(logits, Tensor((1.0 - mask_t) * _MASK_BIAS))
+    """Pose-conditioned softmax weights (..., 4) over the hand slots, for an
+    augmented pose (..., 3P) of any leading shape.  With a hand ``mask``
+    (..., 4), absent hands are biased to zero weight.  The conditionings
+    that read the state attend inside ``tensor.attend_scan``."""
+    logits = attn(pose_aug, dropout_rate=dropout_rate, rng=rng, training=training)
+    if mask is not None:
+        logits = T.add(logits, Tensor((1.0 - mask) * _MASK_BIAS))
     return T.softmax(logits)
 
 
@@ -278,10 +273,8 @@ class RgbStream:
             if self.attn is not None:
                 p = spatial_attention_weights(
                     self.attn,
-                    self.conditioning,
                     Tensor(pose_aug),
-                    None,
-                    mask_t=mask if self.mask_absent else None,
+                    mask=mask if self.mask_absent else None,
                     dropout_rate=self.dropout_rate,
                     rng=rng,
                     training=training,

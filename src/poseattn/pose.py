@@ -43,10 +43,6 @@ class PoseSequence:
     def n_joints(self) -> int:
         return self.joints3d.shape[2]
 
-    @property
-    def pose_dim(self) -> int:
-        return 2 * self.n_joints * 3
-
     def pose_vectors(self) -> np.ndarray:
         """Flatten to (T, 2*J*3), subject-major."""
         return self.joints3d.reshape(self.n_frames, -1)
@@ -84,7 +80,7 @@ def velocity_acceleration(pose_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def augment_pose(seq: PoseSequence) -> np.ndarray:
-    """Per-frame concat(pose, velocity, acceleration), shape (T, 3*pose_dim)."""
+    """Per-frame concat(pose, velocity, acceleration), shape (T, 3P) for pose vectors of width P."""
     if seq.n_frames < 1:
         raise ValueError("augment_pose: empty sequence")
     pose = seq.pose_vectors()

@@ -8,8 +8,9 @@ Three generators, all pure functions of their spec:
     so the slot-sum is a label-independent constant.  Which slot is active
     is encoded only in the pose channel (the active slot's joint group
     oscillates).  A pose-conditioned attender can reach the oracle rate;
-    a sum integrator is capped at chance by construction, and that cap is
-    verified by brute-force enumeration before the dataset is accepted.
+    a sum integrator is capped at the label prior by construction, and that
+    cap is verified by enumerating the slot-sums before the dataset is
+    accepted.
 
 ``temporal_event``
     The class template appears in all four slots, but only inside an event
@@ -38,7 +39,7 @@ distractor pool (``test_pool``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -105,7 +106,6 @@ class SyntheticSpec:
     fake_events: int | None = None  # default: 2 for temporal_event, 0 otherwise
     fix_window_at_end: bool = False
     equal_slots: bool = False  # degenerate control: every slot carries the class template
-    ambiguity_margin: float = 0.1
 
     def resolved_seq_len(self) -> int:
         if self.seq_len is not None:
@@ -397,19 +397,15 @@ def _make_plans(
 def template_sum_bayes_rate(spec: SyntheticSpec, plans: Iterable[_SequencePlan]) -> float:
     """Best achievable accuracy of a classifier that only sees the slot-sum of templates.
 
-    Enumerates the construction-level (noise-free) template sums, groups
-    identical sums, and scores each group by its majority label.
+    Enumerates the construction-level (noise-free) template sums of the
+    balanced fills, groups identical sums, and scores each group by its
+    majority label.
     """
     templates = class_templates(spec)
     groups: dict[bytes, np.ndarray] = {}
     n = 0
     for plan in plans:
-        if spec.equal_slots:
-            fill = np.full(4, plan.label)
-        else:
-            fill = balanced_fill(
-                np.random.default_rng(0), spec.n_classes, plan.active_slot, plan.label
-            )
+        fill = balanced_fill(np.random.default_rng(0), spec.n_classes, plan.active_slot, plan.label)
         key = np.round(templates[fill].sum(axis=0), 9).tobytes()
         hist = groups.setdefault(key, np.zeros(spec.n_classes))
         hist[plan.label] += 1
@@ -418,21 +414,13 @@ def template_sum_bayes_rate(spec: SyntheticSpec, plans: Iterable[_SequencePlan])
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
-    """Build a dataset from the spec; deterministic in the seed, bitwise."""
+    """Build a dataset from the spec; deterministic in the seed, bitwise.
+
+    An active-hand split is accepted only when a classifier of its slot-sums
+    does no better than always answering its most common label: the fill is
+    class-balanced, so every sequence has the same slot-sum.
+    """
     spec.validate()
-    for attempt in range(5):
-        dataset, ok = _generate_once(replace(spec, seed=spec.seed + 1000003 * attempt))
-        if ok:
-            if attempt:
-                dataset.manifest.provenance["regenerated"] = attempt
-            return dataset
-    raise DatasetError(
-        "active-hand generator: slot-sum ambiguity check failed repeatedly; "
-        "the distractor fill is not class-balanced"
-    )
-
-
-def _generate_once(spec: SyntheticSpec) -> tuple[Dataset, bool]:
     root = np.random.SeedSequence(spec.seed)
     ss_pool_train, ss_pool_held, ss_val, *ss_splits = root.spawn(3 + 3)
     pool_train = distractor_pool(spec, np.random.default_rng(ss_pool_train))
@@ -442,15 +430,18 @@ def _generate_once(spec: SyntheticSpec) -> tuple[Dataset, bool]:
     records: list[SequenceRecord] = []
     sequences: dict[str, SequenceData] = {}
     ambiguity: dict[str, float] = {}
-    ok = True
     for split, count, ss in zip(split_names, spec.counts, ss_splits):
         rng = np.random.default_rng(ss)
         plans = _make_plans(spec, rng, count)
-        if spec.kind == "active_hand" and not spec.equal_slots:
+        if spec.kind == "active_hand" and not spec.equal_slots and plans:
             rate = template_sum_bayes_rate(spec, plans)
+            prior = np.bincount([p.label for p in plans]).max() / len(plans)
+            if rate > prior:
+                raise DatasetError(
+                    f"active-hand split {split}: the slot-sum of templates predicts the label at rate "
+                    f"{rate:.4f}, above its label prior {prior:.4f}; the fill is not class-balanced"
+                )
             ambiguity[split] = rate
-            if rate > 1.0 / spec.n_classes + spec.ambiguity_margin:
-                ok = False
         pool = pool_held if split == "test_pool" else pool_train
         for i, plan in enumerate(plans):
             seq_id = f"{split}-{i:05d}"
@@ -483,41 +474,4 @@ def _generate_once(spec: SyntheticSpec) -> tuple[Dataset, bool]:
         },
         records=records,
     )
-    return Dataset(manifest=manifest, sequences=sequences), ok
-
-
-def oracle_active_hand_accuracy(dataset: Dataset, split: str = "test_seeds") -> float:
-    """Nearest-template classification of the mean active-slot feature (oracle attention)."""
-    templates = None
-    correct = 0
-    items = dataset.split_items(split)
-    for record, seqdata in items:
-        if templates is None:
-            c = dataset.manifest.n_classes
-            templates = np.zeros((c, dataset.manifest.feature_dim))
-            scale = dataset.manifest.provenance["spec"]["template_scale"]
-            templates[np.arange(c), np.arange(c)] = scale
-        frames = np.where(seqdata.gt_slot >= 0)[0]
-        feats = seqdata.features[frames, seqdata.gt_slot[frames]].astype(np.float64)
-        mean = feats.mean(axis=0)
-        pred = int(np.argmin(((templates - mean) ** 2).sum(axis=1)))
-        correct += pred == record.label
-    return correct / len(items)
-
-
-def oracle_temporal_event_accuracy(dataset: Dataset, split: str = "test_seeds") -> float:
-    """Nearest-template classification of the mean in-window feature over all slots."""
-    templates = None
-    correct = 0
-    items = dataset.split_items(split)
-    for record, seqdata in items:
-        if templates is None:
-            c = dataset.manifest.n_classes
-            templates = np.zeros((c, dataset.manifest.feature_dim))
-            scale = dataset.manifest.provenance["spec"]["template_scale"]
-            templates[np.arange(c), np.arange(c)] = scale
-        lo, hi = seqdata.gt_window
-        mean = seqdata.features[lo:hi].astype(np.float64).mean(axis=(0, 1))
-        pred = int(np.argmin(((templates - mean) ** 2).sum(axis=1)))
-        correct += pred == record.label
-    return correct / len(items)
+    return Dataset(manifest=manifest, sequences=sequences)

@@ -6,8 +6,7 @@ input tracks gradients, appends a node holding per-input vector-Jacobian
 callbacks.  ``Tape.backward`` sweeps the node list once in reverse append
 order, which is a valid topological order by construction.
 
-Elementwise binary ops broadcast only over leading batch axes (the smaller
-operand's shape must be a suffix of the larger one's).  Everything is
+Elementwise binary ops take operands of equal shape.  Everything is
 float64: the gradient checker drives the test suite and needs the headroom.
 """
 from __future__ import annotations
@@ -76,15 +75,8 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 _Node = tuple  # (out: Tensor, parents: tuple[Tensor, ...], vjps: tuple[Callable|None, ...])
@@ -114,10 +106,6 @@ class Tape:
             raise GraphError("tape context exited out of order")
         stack.pop()
 
-    @property
-    def node_count(self) -> int:
-        return len(self._nodes)
-
     def _record(self, out: Tensor, parents: tuple, vjps: tuple) -> None:
         self._nodes.append((out, parents, vjps))
         self._out_ids.add(id(out))
@@ -130,8 +118,8 @@ class Tape:
         C-contiguous float64 array of the parent's shape that shares no
         memory with ``g``, the output gradient it was computed from: VJPs
         return either such a fresh array or a view of ``g`` (``reshape``,
-        ``transpose``, ``concat``, in-order ``gather_rows``, ``add`` and
-        ``subtract`` without broadcast).  Any other first contribution is
+        ``transpose``, ``concat``, in-order ``gather_rows``, ``add``, and
+        ``subtract`` for its first input).  Any other first contribution is
         copied once, and later ones are added into the ``grad`` in place.
         A kept contribution may hold -0.0 where adding it to zeros gave +0.0.
         """
@@ -231,48 +219,25 @@ def _mm(a: Array, b: Array, out: Array | None = None) -> Array:
     return out
 
 
-def _reduce_to(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum a gradient over the leading axes introduced by broadcasting."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    return grad
-
-
-def _check_leading_broadcast(a: Array, b: Array, op: str) -> None:
-    sa, sb = a.shape, b.shape
-    if sa == sb:
-        return
-    if len(sa) > len(sb) and sa[len(sa) - len(sb):] == sb:
-        return
-    if len(sb) > len(sa) and sb[len(sb) - len(sa):] == sa:
-        return
-    raise ShapeError(f"{op}: shapes {sa} and {sb} only broadcast over a leading batch axis")
+def _check_same_shape(a: Array, b: Array, op: str) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_leading_broadcast(a.data, b.data, "add")
-    return _make(
-        a.data + b.data, "add", (a, b),
-        (lambda g: _reduce_to(g, a.data.shape), lambda g: _reduce_to(g, b.data.shape)),
-    )
+    _check_same_shape(a.data, b.data, "add")
+    return _make(a.data + b.data, "add", (a, b), (lambda g: g, lambda g: g))
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
-    _check_leading_broadcast(a.data, b.data, "subtract")
-    return _make(
-        a.data - b.data, "subtract", (a, b),
-        (lambda g: _reduce_to(g, a.data.shape), lambda g: _reduce_to(-g, b.data.shape)),
-    )
+    _check_same_shape(a.data, b.data, "subtract")
+    return _make(a.data - b.data, "subtract", (a, b), (lambda g: g, lambda g: -g))
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
-    _check_leading_broadcast(a.data, b.data, "multiply")
+    _check_same_shape(a.data, b.data, "multiply")
     ad, bd = a.data, b.data
-    return _make(
-        ad * bd, "multiply", (a, b),
-        (lambda g: _reduce_to(g * bd, ad.shape), lambda g: _reduce_to(g * ad, bd.shape)),
-    )
+    return _make(ad * bd, "multiply", (a, b), (lambda g: g * bd, lambda g: g * ad))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -280,22 +245,14 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Batched ``a @ b`` of a (n, i, k) and b (n, k, j)."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: inner dimensions differ: {ad.shape} @ {bd.shape}")
-        return _make(
-            ad @ bd, "matmul", (a, b),
-            (lambda g: g @ bd.T, lambda g: ad.T @ g),
-        )
-    if ad.ndim == 3 and bd.ndim == 3:
-        if ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:
-            raise ShapeError(f"matmul: batched shapes do not conform: {ad.shape} @ {bd.shape}")
-        return _make(
-            ad @ bd, "matmul", (a, b),
-            (lambda g: g @ bd.transpose(0, 2, 1), lambda g: ad.transpose(0, 2, 1) @ g),
-        )
-    raise ShapeError(f"matmul: unsupported operand ranks {ad.ndim} and {bd.ndim}")
+    if ad.ndim != 3 or bd.ndim != 3 or ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:
+        raise ShapeError(f"matmul: batched shapes do not conform: {ad.shape} @ {bd.shape}")
+    return _make(
+        ad @ bd, "matmul", (a, b),
+        (lambda g: g @ bd.transpose(0, 2, 1), lambda g: ad.transpose(0, 2, 1) @ g),
+    )
 
 
 def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
@@ -347,26 +304,12 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _make(a.data.reshape(shape), "reshape", (a,), (lambda g: g.reshape(old),))
 
 
-def sum_axis(a: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        return _make(
-            np.asarray(a.data.sum()), "sum", (a,),
-            (lambda g: np.full(a.data.shape, g),),
-        )
-    _check_axis(a, axis, "sum")
-    return _make(
-        a.data.sum(axis=axis), "sum", (a,),
-        (lambda g: np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),),
-    )
+def sum_axis(a: Tensor) -> Tensor:
+    """The sum of every element of ``a``, as a scalar."""
+    return _make(np.asarray(a.data.sum()), "sum", (a,), (lambda g: np.full(a.data.shape, g),))
 
 
-def mean_axis(a: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        n = a.data.size
-        return _make(
-            np.asarray(a.data.mean()), "mean", (a,),
-            (lambda g: np.full(a.data.shape, g / n),),
-        )
+def mean_axis(a: Tensor, axis: int) -> Tensor:
     _check_axis(a, axis, "mean")
     n = a.data.shape[axis]
     # What ndarray.mean computes (sum, then one true division), without its

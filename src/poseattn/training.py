@@ -84,6 +84,9 @@ class RunConfig:
         for name, choices in CONFIG_CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ConfigError(f"config {name}: {getattr(self, name)!r} is not one of {choices}")
+        for name in ("dataset", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"config {name}: must be a path string, got {getattr(self, name)!r}")
         for name in _CONFIG_FLAGS:
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"config {name}: must be true or false, got {getattr(self, name)!r}")
@@ -360,6 +363,7 @@ def train_stream(
                 grads = collect_grads(params)
                 zero_grads(params)
                 adam_step(adam, params, grads)
+                del grads  # not held through the next step's forward and backward
                 total_loss += loss.item() * len(batch_ids)
                 total_n += len(batch_ids)
             val_acc = evaluate([stream], prepared, val_ids, config.clip_len)
@@ -561,6 +565,8 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, d
                 listed = _typed(smeta, "params", dict)
                 stored = {k: (_typed(p, "shape", list), _typed(p, "crc32", int)) for k, p in listed.items()}
                 best = {key: _typed(smeta, key, kind) for key, kind in (("best_epoch", int), ("best_val_acc", float))}
+                if best["best_epoch"] < 0:
+                    raise ValueError(f"field 'best_epoch' is {best['best_epoch']}, below 0")
                 stream = _fresh_stream(name, config, dims, drawn=False)
             params = stream.parameters()
             if set(params) != set(stored):

@@ -13,9 +13,9 @@ import pytest
 
 import poseattn
 from poseattn.cli import _config_from_args, build_parser, main
-from poseattn.data import dataset_content_hash, load_dataset, save_dataset
+from poseattn.data import DatasetError, dataset_content_hash, load_dataset, save_dataset
 from poseattn.synth import SyntheticSpec
-from poseattn.training import THREAD_ENV, RunConfig
+from poseattn.training import THREAD_ENV, RunConfig, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +35,15 @@ TRAIN_FLAGS = [
     "--rgb-hidden", "10", "--attn-hidden", "10", "--lr", "0.002",
     "--dropout", "0", "--max-epochs", "1", "--batch-size", "16", "--seed", "0",
 ]
+
+
+@pytest.mark.parametrize("counts, rate", [(["40", "5", "10"], 0.4), (["40", "0", "10"], None)])
+def test_synth_accepts_a_split_whose_labels_are_not_balanced_or_that_is_empty(tmp_path, counts, rate):
+    # 5 test sequences of 4 classes: the slot-sum predicts the label at the
+    # split's label prior, 0.4, above chance.  An empty split has no rate.
+    out = tmp_path / "ah.bin"
+    assert main(["synth", "--kind", "active_hand", "--out", str(out), "--counts", *counts]) == 0
+    assert load_dataset(out).manifest.provenance["sum_bayes_rate"].get("test_seeds") == rate
 
 
 def test_synth_writes_dataset_and_manifest(dataset_path):
@@ -328,12 +337,13 @@ def test_checkpoint_with_an_invalid_config_is_data_error(dataset_path, checkpoin
         (lambda meta: meta["streams"]["rgb"].update(params=[1]), "'params'"),
         (lambda meta: meta["streams"]["rgb"]["params"]["head.b"].pop("crc32"), "'crc32'"),
         (lambda meta: meta["streams"]["rgb"].pop("best_epoch"), "'best_epoch'"),
+        (lambda meta: meta["streams"]["rgb"].update(best_epoch=-1), "'best_epoch'"),
         (lambda meta: meta["streams"]["rgb"].update(best_val_acc="x"), "'best_val_acc'"),
         (lambda meta: meta["streams"].update(video=meta["streams"].pop("rgb")), "'streams'"),
     ],
     ids=[
         "no dims", "negative clip_len", "streams a list", "no streams", "null dataset_hash", "params a list",
-        "no crc32", "no best_epoch", "best_val_acc a string", "stream of another name",
+        "no crc32", "no best_epoch", "negative best_epoch", "best_val_acc a string", "stream of another name",
     ],
 )
 def test_bad_checkpoint_header_field_is_data_error_naming_file_and_field(
@@ -346,6 +356,57 @@ def test_bad_checkpoint_header_field_is_data_error_naming_file_and_field(
     err = capsys.readouterr().err
     assert f"error: {bad}: checkpoint" in err and field in err
     assert "Traceback" not in err
+
+
+def _header_fields(node, path=()):
+    """The path of every field of a JSON header, containers and their members."""
+    for key, value in node.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _header_fields(value, path + (key,))
+
+
+def _mutate(meta, path, how):
+    *parents, key = path
+    for p in parents:
+        meta = meta[p]
+    if how == "dropped":
+        del meta[key]
+    else:
+        meta[key] = how
+
+
+def test_no_mutation_of_a_checkpoint_header_escapes_as_a_bare_error(dataset_path, tmp_path):
+    run = tmp_path / "run"
+    flags = ["--variant", "two_stream", "--pose-hidden", "4", "--pose-layers", "2"]
+    assert main(["train", "--dataset", str(dataset_path), "--out", str(run)] + TRAIN_FLAGS + flags) == 0
+    good = run / "checkpoint.bin"
+    blob = good.read_bytes()
+    fields = list(_header_fields(json.loads(blob[16 : 16 + int.from_bytes(blob[8:16], "little")])))
+    assert len(fields) > 80
+    bad, outcomes, escaped = tmp_path / "bad.bin", [], []
+    for path in fields:
+        for how in ("dropped", "x", None, [1], -1):
+            rewrite_header(good, bad, lambda meta: _mutate(meta, path, how))
+            try:
+                load_checkpoint(bad)
+                outcomes.append("loaded")
+            except DatasetError as e:
+                assert str(bad) in str(e)
+                outcomes.append("rejected")
+            except Exception as e:
+                escaped.append(f"{'.'.join(path)} = {how!r}: {type(e).__name__}: {e}")
+    assert not escaped, escaped
+    assert outcomes.count("rejected") > outcomes.count("loaded")
+
+
+@pytest.mark.parametrize("field, value", [("dataset", ["x"]), ("dataset", 3), ("out_dir", 7)])
+def test_a_config_path_that_is_no_string_is_usage_error_naming_the_field(tmp_path, capsys, field, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({field: value}))
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: config file {path}: config {field}: must be a path string, got {value!r}" in err
 
 
 @pytest.mark.parametrize("rows, seeds, repeat", [("sum,sum", ["0"], "row 'sum'"), ("sum", ["0", "0"], "seed 0")])

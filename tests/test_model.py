@@ -56,31 +56,29 @@ class TestSpatialAttention:
     def test_equal_at_initialization(self):
         rng = np.random.default_rng(0)
         attn = mlp_init(rng, [36, 8, 4], zero_output=True)
-        p = spatial_attention_weights(attn, "pose", Tensor(rng.normal(size=(3, 36))), Tensor(np.zeros((3, 5))))
+        p = spatial_attention_weights(attn, Tensor(rng.normal(size=(3, 36))))
         assert np.array_equal(p.data, np.full((3, 4), 0.25))
 
     def test_pose_conditioning_ignores_hidden_state(self):
-        rng = np.random.default_rng(1)
-        attn = mlp_init(rng, [36, 8, 4])
-        x = Tensor(rng.normal(size=(3, 36)))
-        p1 = spatial_attention_weights(attn, "pose", x, Tensor(np.zeros((3, 5))))
-        p2 = spatial_attention_weights(attn, "pose", x, Tensor(rng.normal(size=(3, 5))))
-        assert np.array_equal(p1.data, p2.data)
+        # The recurrent weights set the state; the attention does not move with them.
+        stream = make_stream(np.random.default_rng(1), cond="pose")
+        for layer in stream.attn.layers:
+            layer.W.data = np.random.default_rng(6).normal(size=layer.W.data.shape)
+        batch = make_batch(np.random.default_rng(7))
+        before = stream.forward(batch)
+        stream.gru.U.data = np.random.default_rng(8).normal(size=stream.gru.U.data.shape)
+        after = stream.forward(batch)
+        assert not np.array_equal(before.hidden_states.data, after.hidden_states.data)
+        assert np.array_equal(before.spatial_attention.data, after.spatial_attention.data)
 
     def test_simplex_for_any_parameters(self):
         rng = np.random.default_rng(2)
         attn = mlp_init(rng, [36, 8, 4])
         for layer in attn.layers:
             layer.W.data = 10.0 * rng.normal(size=layer.W.data.shape)
-        p = spatial_attention_weights(attn, "pose", Tensor(rng.normal(size=(50, 36))), Tensor(np.zeros((50, 5))))
+        p = spatial_attention_weights(attn, Tensor(rng.normal(size=(50, 36))))
         assert (p.data >= 0).all() and (p.data <= 1).all()
         assert np.abs(p.data.sum(axis=1) - 1.0).max() < 1e-9
-
-    def test_baseline_modes_bypass(self):
-        rng = np.random.default_rng(3)
-        attn = mlp_init(rng, [36, 8, 4])
-        with pytest.raises(ValueError, match="conditioning"):
-            spatial_attention_weights(attn, "sum", Tensor(np.zeros((1, 36))), Tensor(np.zeros((1, 5))))
 
 
 class TestContextVector:
@@ -205,7 +203,7 @@ class TestRgbStream:
             batch = make_batch(np.random.default_rng(64), t=t)
             with T.Tape() as tape:
                 stream.loss(stream.forward(batch, training=True, rng=np.random.default_rng(65)), batch.labels)
-            nodes.append(tape.node_count)
+            nodes.append(len(tape._nodes))
         assert nodes[0] == nodes[1]
 
     @pytest.mark.parametrize("cond", CONDITIONINGS)
@@ -340,16 +338,12 @@ def _per_span_forward(stream, batch, training, rng):
     states, attentions = [], []
     for t in range(n):
         span = slice(t, t + 1)
-        p = spatial_attention_weights(
-            stream.attn,
-            stream.conditioning,
-            Tensor(pose[:, span]) if stream.conditioning in POSE_CONDITIONINGS else None,
-            h,
-            mask_t=mask[:, span] if stream.mask_absent else None,
-            dropout_rate=rate,
-            rng=rng,
-            training=training,
-        )
+        # The attention reads the state, after the pose under "both".
+        x = T.concat([Tensor(pose[:, span]), h], axis=-1) if stream.conditioning in POSE_CONDITIONINGS else h
+        logits = stream.attn(x, dropout_rate=rate, rng=rng, training=training)
+        if stream.mask_absent:
+            logits = T.add(logits, Tensor((1.0 - mask[:, span]) * -1e9))
+        p = T.softmax(logits)
         v = Tensor(feats[:, span].reshape(-1, *feats.shape[-2:]))
         ctx = dropout(context_vector(v, T.multiply(p, Tensor(mask[:, span]))), rate, rng, training)
         h = stream.gru.run(ctx, T.reshape(h, (b, H)) if states else None)  # (B, 1, H)

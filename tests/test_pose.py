@@ -76,7 +76,7 @@ class TestAugment:
         ).copy()
         seq = make_seq(joints)
         aug = augment_pose(seq)
-        p = seq.pose_dim
+        p = seq.pose_vectors().shape[1]
         assert np.array_equal(aug[:, :p], seq.pose_vectors())
         assert np.array_equal(aug[:, p:], np.zeros((6, 2 * p)))
 
@@ -85,7 +85,7 @@ class TestAugment:
         joints = np.stack([t * c for t in range(6)])
         seq = make_seq(joints)
         aug = augment_pose(seq)
-        p = seq.pose_dim
+        p = seq.pose_vectors().shape[1]
         vel = aug[:, p : 2 * p]
         acc = aug[:, 2 * p :]
         assert np.allclose(vel[1:], np.tile(c.reshape(-1), (5, 1)))
@@ -95,20 +95,20 @@ class TestAugment:
     def test_boundary_zeros(self):
         seq = random_seq(np.random.default_rng(9))
         aug = augment_pose(seq)
-        p = seq.pose_dim
+        p = seq.pose_vectors().shape[1]
         assert np.array_equal(aug[0, p:], np.zeros(2 * p))
         assert np.array_equal(aug[1, 2 * p :], np.zeros(p))
 
     def test_reference_dims_25_joints(self):
         seq = random_seq(np.random.default_rng(10), t=4, j=25)
-        assert seq.pose_dim == 150
+        assert seq.pose_vectors().shape == (4, 150)
         assert augment_pose(seq).shape == (4, 450)
 
     def test_time_reversal_antisymmetry(self):
         rng = np.random.default_rng(11)
         seq = random_seq(rng, t=8)
         rev = make_seq(seq.joints3d[::-1].copy())
-        p = seq.pose_dim
+        p = seq.pose_vectors().shape[1]
         v = augment_pose(seq)[:, p : 2 * p]
         v_rev = augment_pose(rev)[:, p : 2 * p]
         assert np.allclose(v_rev[1:], -v[1:][::-1])

@@ -3,6 +3,7 @@ import collections
 import numpy as np
 import pytest
 
+from poseattn.data import DatasetError
 from poseattn.pose import motion_stats, normalize_pose
 from poseattn.synth import (
     SPINE_JOINT,
@@ -10,12 +11,44 @@ from poseattn.synth import (
     balanced_fill,
     event_displacement,
     generate,
-    oracle_active_hand_accuracy,
-    oracle_temporal_event_accuracy,
     template_sum_bayes_rate,
 )
 
 SMALL = dict(counts=(40, 12, 12))
+
+
+def _nearest_template_accuracy(dataset, split, mean_feature):
+    """Accuracy on ``split`` of the nearest class template to
+    ``mean_feature(seqdata)``, an oracle's summary of one sequence."""
+    c = dataset.manifest.n_classes
+    templates = np.zeros((c, dataset.manifest.feature_dim))
+    templates[np.arange(c), np.arange(c)] = dataset.manifest.provenance["spec"]["template_scale"]
+    items = [(r, dataset.sequences[r.seq_id]) for r in dataset.manifest.records if r.split == split]
+    correct = 0
+    for record, seqdata in items:
+        mean = mean_feature(seqdata)
+        correct += int(np.argmin(((templates - mean) ** 2).sum(axis=1))) == record.label
+    return correct / len(items)
+
+
+def oracle_active_hand_accuracy(dataset, split="test_seeds"):
+    """Nearest-template classification of the mean active-slot feature (oracle attention)."""
+
+    def mean_active(seqdata):
+        frames = np.where(seqdata.gt_slot >= 0)[0]
+        return seqdata.features[frames, seqdata.gt_slot[frames]].astype(np.float64).mean(axis=0)
+
+    return _nearest_template_accuracy(dataset, split, mean_active)
+
+
+def oracle_temporal_event_accuracy(dataset, split="test_seeds"):
+    """Nearest-template classification of the mean in-window feature over all slots."""
+
+    def mean_in_window(seqdata):
+        lo, hi = seqdata.gt_window
+        return seqdata.features[lo:hi].astype(np.float64).mean(axis=(0, 1))
+
+    return _nearest_template_accuracy(dataset, split, mean_in_window)
 
 
 def test_generation_is_deterministic_bitwise():
@@ -195,6 +228,14 @@ class TestHelpers:
 
         plans = _make_plans(spec, np.random.default_rng(0), 100)
         assert abs(template_sum_bayes_rate(spec, plans) - 0.25) < 1e-12
+
+    def test_an_unbalanced_fill_is_rejected_naming_the_split(self, monkeypatch):
+        import poseattn.synth
+
+        # The label in every slot: the slot-sum then gives the label away.
+        monkeypatch.setattr(poseattn.synth, "balanced_fill", lambda rng, n_classes, key_slot, label: np.full(4, label))
+        with pytest.raises(DatasetError, match="active-hand split train: .* above its label prior 0.2500"):
+            generate(SyntheticSpec(kind="active_hand", **SMALL))
 
 
 class TestSpecValidation:

@@ -32,14 +32,6 @@ def test_softmax_simplex_on_random_inputs():
         assert np.abs(p.sum(axis=-1) - 1.0).max() < 1e-9
 
 
-def test_matmul_one_hot_selects_column():
-    rng = np.random.default_rng(1)
-    v = Tensor(rng.normal(size=(6, 4)))  # feature rows x hand columns
-    p = Tensor(np.array([[1.0], [0.0], [0.0], [0.0]]))
-    out = T.matmul(v, p)
-    assert np.array_equal(out.data[:, 0], v.data[:, 0])
-
-
 def test_backward_square():
     x = Tensor([3.0], requires_grad=True)
     with Tape() as tape:
@@ -95,15 +87,17 @@ def test_backward_is_linear_in_node_count():
         for _ in range(40):
             a = T.scale(T.add(a, a), 0.5)
         loss = T.sum_axis(a)
-    nodes = tape.node_count
+    nodes = len(tape._nodes)
     tape.backward(loss)
     assert nodes == 2 * 40 + 1
     assert np.allclose(x.grad, [1.0])
 
 
 def test_shape_errors_name_op_and_shapes():
-    with pytest.raises(ShapeError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
-        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    with pytest.raises(ShapeError, match=r"matmul.*\(1, 2, 3\).*\(1, 2, 3\)"):
+        T.matmul(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 3))))
+    with pytest.raises(ShapeError, match=r"matmul.*\(3, 4\).*\(4, 2\)"):
+        T.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 2))))
     with pytest.raises(ShapeError, match="add"):
         T.add(Tensor(np.zeros((4, 3))), Tensor(np.zeros(4)))
 
@@ -189,16 +183,10 @@ def test_finite_values_whose_sum_overflows_pass_every_check():
     assert np.isfinite(params["w"].data).all()
 
 
-def test_leading_axis_broadcast_only():
-    out = T.add(Tensor(np.zeros((5, 3))), Tensor(np.ones(3)))
-    assert out.shape == (5, 3)
-    x = Tensor(np.zeros((5, 3)), requires_grad=True)
-    b = Tensor(np.ones(3), requires_grad=True)
-    with Tape() as tape:
-        loss = T.sum_axis(T.multiply(T.add(x, b), b))
-    tape.backward(loss)
-    assert b.grad.shape == (3,)
-    assert np.allclose(b.grad, 10.0 * np.ones(3))  # d/db sum of 5 rows of (x+b)*b at x=0, b=1
+@pytest.mark.parametrize("op", [T.add, T.subtract, T.multiply])
+def test_elementwise_ops_take_equal_shapes_only(op):
+    with pytest.raises(ShapeError, match=rf"{op.__name__}: shapes \(5, 3\) and \(3,\) differ"):
+        op(Tensor(np.zeros((5, 3))), Tensor(np.ones(3)))
 
 
 def test_concat_then_slice_is_identity():
@@ -244,8 +232,7 @@ def _unary_cases(rng):
         "log_softmax": (T.log_softmax, x()),
         "scale": (lambda t: T.scale(t, -2.5), x()),
         "identity_sum": (lambda t: t, x()),
-        "sum_axis0": (lambda t: T.sum_axis(t, 0), x()),
-        "mean_all": (lambda t: T.mean_axis(t), x()),
+        "sum_all": (T.sum_axis, x()),
         "mean_axis1": (lambda t: T.mean_axis(t, 1), x()),
         "transpose": (T.transpose, x()),
         "reshape": (lambda t: T.reshape(t, (2, 6)), x()),
@@ -286,11 +273,8 @@ def _binary_cases(rng):
     t = lambda shape: Tensor(rng.normal(size=shape), requires_grad=True)
     return {
         "add": (T.add, t((3, 4)), t((3, 4))),
-        "add_broadcast": (T.add, t((3, 4)), t((4,))),
         "subtract": (T.subtract, t((3, 4)), t((3, 4))),
         "multiply": (T.multiply, t((3, 4)), t((3, 4))),
-        "multiply_broadcast": (T.multiply, t((2, 3, 4)), t((4,))),
-        "matmul_22": (T.matmul, t((3, 4)), t((4, 2))),
         "matmul_33": (T.matmul, t((2, 3, 4)), t((2, 4, 2))),
         "linear_2": (T.linear, t((3, 4)), t((2, 4))),
         "linear_2_bias": (T.linear, t((3, 4)), t((2, 4)), t((2,))),
