@@ -140,7 +140,8 @@ def _load_for_eval(args: argparse.Namespace):
     dataset = load_dataset(args.dataset)
     # The checks training made of its dataset, made of this one.
     ModelDims.from_dataset(dataset, replace(config, dataset=args.dataset))
-    trained_on = next(iter(streams.values()))["dataset_hash"]
+    first = next(iter(streams.values()))
+    trained_on = first["dataset_hash"]
     given = dataset.content_hash
     if trained_on != given and not args.allow_other_dataset:
         raise DatasetError(
@@ -150,6 +151,8 @@ def _load_for_eval(args: argparse.Namespace):
     ids = dataset.manifest.split_ids(args.split)
     if not ids:
         raise DatasetError(f"split {args.split!r} is empty")
+    if first["partial"]:
+        print(f"note: checkpoint {args.checkpoint} is partial: training stopped on a numeric failure", file=sys.stderr)
     models = [s["stream"] for s in streams.values()]
     return config, models, dataset.prepared, ids
 

@@ -12,16 +12,17 @@ f32 (T, 4, D), ground-truth attention slots i32 (T,) and window i32 (2,)
 when the manifest flags say so.  Storage is f32; compute is f64.
 Round-trips are bitwise.
 
-A loaded ``Dataset`` also carries its model inputs, prepared once on first
-use (``Dataset.prepared``) and shared, read-only, by every run on it.
+A loaded ``Dataset`` is identified by the sha256 of its manifest header
+(``Dataset.content_hash``): the header holds every block's size and CRC32,
+so it fixes every byte a load accepts, up to a CRC32 collision.  It also
+carries its model inputs, prepared once on first use (``Dataset.prepared``)
+and shared, read-only, by every run on it.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-import queue
-import threading
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -178,7 +179,7 @@ class PreparedSequence:
 class Dataset:
     manifest: DatasetManifest
     sequences: dict[str, SequenceData]
-    content_hash: str = ""  # sha256 of the file it was loaded from; "" when built in memory
+    content_hash: str = ""  # sha256 of the manifest header it was loaded with; "" when built in memory
 
     @cached_property
     def prepared(self) -> dict[str, PreparedSequence]:
@@ -323,8 +324,7 @@ def write_framed(path: str | Path, magic: bytes, header: dict, blocks: Iterable)
 
 @contextmanager
 def read_framed(
-    path: str | Path, magic: bytes, kind: str, version_key: str, version: int, advice: str,
-    feed: Callable[[bytes], None] = lambda blob: None,
+    path: str | Path, magic: bytes, kind: str, version_key: str, version: int, advice: str
 ) -> Iterator[tuple[dict, Callable]]:
     """The header of a file ``write_framed`` wrote, and ``block(what, nbytes,
     crc32, into=None)``, which returns its next block once the block is
@@ -333,9 +333,8 @@ def read_framed(
     ``version_key``; it is checked before the header's checksum, so an older
     file fails with a ``VersionError`` ending in ``advice``.  A ``with``
     block that ends without an error checks that nothing follows the last
-    block.  Every byte read also goes, in order, to ``feed``.  Each error is
-    a ``DatasetError`` that names the file and the field, ``kind``
-    ("dataset", "checkpoint") naming the file's header.
+    block.  Each error is a ``DatasetError`` that names the file and the
+    field, ``kind`` ("dataset", "checkpoint") naming the file's header.
     """
     with open(path, "rb") as f:
         end = os.fstat(f.fileno()).st_size
@@ -344,10 +343,8 @@ def read_framed(
             if n > end - f.tell():
                 raise TruncationError(f"{path}: file ends inside {what}")
             if into is None:
-                blob = f.read(n)
-            else:
-                f.readinto(blob := memoryview(into).cast("B"))
-            feed(blob)
+                return f.read(n)
+            f.readinto(blob := memoryview(into).cast("B"))
             return blob
 
         def block(what: str, nbytes: int, crc32: int, into: np.ndarray | None = None) -> bytes | memoryview:
@@ -409,73 +406,18 @@ def header_field(path: str | Path, field: str) -> Iterator[None]:
         raise ManifestError(f"{path}: {field}: {e}") from None
 
 
-# Batches of blobs that may wait between the reader and the hashing thread.
-HASH_QUEUE_BATCHES = 1
-# The reader hands its blobs over in batches of at least this many bytes (the
-# last batch may hold fewer): each hand-off wakes the thread, which a small
-# record block alone does not repay.  A paper-scale block (about 1.3 MB) is a
-# batch of its own.
-HASH_BATCH_BYTES = 1 << 17
-
-
-@contextmanager
-def _hashing_thread(digest) -> Iterator[Callable[[bytes], None]]:
-    """A ``feed(blob)`` that has a helper thread pass each blob to
-    ``digest.update``, in the order fed.  Blobs go over in batches of
-    ``HASH_BATCH_BYTES``, and ``feed`` waits while ``HASH_QUEUE_BATCHES``
-    batches are queued.  The thread is joined when the block exits, whether
-    it returns or raises, and an error the thread met is raised then."""
-    batches: queue.Queue = queue.Queue(maxsize=HASH_QUEUE_BATCHES)
-    failed: list[BaseException] = []
-    batch: list[bytes] = []
-    batch_bytes = 0
-
-    def run() -> None:
-        # Drains the queue to the end even after a failure, so feed never waits forever.
-        for blobs in iter(batches.get, None):
-            if not failed:
-                try:
-                    for blob in blobs:
-                        digest.update(blob)
-                except BaseException as e:
-                    failed.append(e)
-
-    def feed(blob: bytes) -> None:
-        nonlocal batch, batch_bytes
-        batch.append(blob)
-        batch_bytes += len(blob)
-        if batch_bytes >= HASH_BATCH_BYTES:
-            batches.put(batch)
-            batch, batch_bytes = [], 0
-
-    thread = threading.Thread(target=run, name="poseattn-sha256", daemon=True)
-    thread.start()
-    try:
-        yield feed
-    finally:
-        batches.put(batch)
-        batches.put(None)
-        thread.join()
-    if failed:
-        raise failed[0]
-
-
 def load_dataset(path: str | Path) -> Dataset:
-    """Read, check and decode a dataset file in one sequential pass.
+    """Read, check and decode a dataset file in one sequential pass, holding
+    one record block at a time besides the decoded arrays.
 
-    Every byte read also feeds one sha256, on a helper thread that takes the
-    blocks in file order, so ``content_hash`` is the digest of exactly the
-    bytes decoded.  Besides the decoded arrays, a load holds at most three
-    batches of blocks (one being hashed, one waiting for the hasher and one
-    being gathered, its last block being checked and decoded), each under
-    ``HASH_BATCH_BYTES`` plus one block.
+    ``content_hash`` is the sha256 of the manifest header as stored.  The
+    header lists every block's size and CRC32, and the load rejects a block
+    that does not match them, so the header identifies all the data loaded.
     """
-    digest = hashlib.sha256()
     advice = "regenerate the file with `poseattn synth`"
-    with (
-        _hashing_thread(digest) as feed,
-        read_framed(path, MAGIC, "dataset", "format_version", FORMAT_VERSION, advice, feed) as (header, block),
-    ):
+    with read_framed(path, MAGIC, "dataset", "format_version", FORMAT_VERSION, advice) as (header, block):
+        # write_framed stored exactly this serialization of the header.
+        content_hash = hashlib.sha256(json.dumps(header, sort_keys=True).encode()).hexdigest()
         with header_field(path, "manifest"):
             manifest = DatasetManifest.from_json(header)
         sequences = {}
@@ -488,7 +430,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 )
             blob = block(f"record {record.seq_id}", record.nbytes, record.crc32)
             sequences[record.seq_id] = _decode_record(path, manifest, record, blob)
-    return Dataset(manifest=manifest, sequences=sequences, content_hash=digest.hexdigest())
+    return Dataset(manifest=manifest, sequences=sequences, content_hash=content_hash)
 
 
 def export_manifest_json(manifest: DatasetManifest, out_path: str | Path) -> None:
@@ -497,13 +439,8 @@ def export_manifest_json(manifest: DatasetManifest, out_path: str | Path) -> Non
 
 
 def dataset_content_hash(path: str | Path) -> str:
-    """The sha256 of a file, read on its own; ``load_dataset`` computes the same
-    digest as it decodes."""
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    """The ``content_hash`` of the dataset file at ``path``, which must load."""
+    return load_dataset(path).content_hash
 
 
 def assign_validation(records: list[SequenceRecord], frac: float, rng: np.random.Generator) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -424,8 +425,8 @@ def run_train(config: RunConfig, dataset: Dataset | None = None) -> TrainResult:
     The model inputs come from ``dataset.prepared``, so runs handed one
     ``Dataset`` object prepare it once between them; without ``dataset`` the
     run loads ``config.dataset`` and prepares its own.  Writes config,
-    dataset hash (``dataset.content_hash``: of the bytes loaded, "" for a
-    dataset built in memory), per-epoch metrics, results, the best
+    dataset hash (``dataset.content_hash``: of the manifest header loaded,
+    "" for a dataset built in memory), per-epoch metrics, results, the best
     checkpoint, and wall time with the BLAS setup (``timing.json``) into
     ``config.out_dir`` when it is set.  On a numeric failure the best
     checkpoint so far is preserved before the error propagates.
@@ -495,7 +496,7 @@ def _write_metrics(path: Path, result: TrainResult) -> None:
 
 
 CHECKPOINT_MAGIC = b"POSECKP1"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(
@@ -540,10 +541,12 @@ def _typed(header: dict, key: str, kind: type):
 
 
 def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, dict]]:
-    """Rebuild the stream models a checkpoint holds.  Every header field must
-    be there with its type, the header must list exactly each stream's
-    parameters at their shapes, every block must match its CRC32, and the
-    file must end there; else a ``DatasetError`` names the file."""
+    """Rebuild the stream models a checkpoint holds, each with its best epoch,
+    its validation accuracy and the header's ``dataset_hash`` and ``partial``
+    flag (set when training stopped on a numeric failure).  Every header
+    field must be there with its type, the header must list exactly each
+    stream's parameters at their shapes, every block must match its CRC32,
+    and the file must end there; else a ``DatasetError`` names the file."""
     advice = "retrain the model to write one"
     with read_framed(path, CHECKPOINT_MAGIC, "checkpoint", "version", CHECKPOINT_VERSION, advice) as (meta, block):
         with header_field(path, "checkpoint config"):
@@ -554,6 +557,9 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, d
             if min(dims.values()) < 0:
                 raise ValueError(f"field 'dims' is {dims}, with a size below 0")
             dims, dataset_hash = ModelDims(**dims), _typed(meta, "dataset_hash", str)
+            if not re.fullmatch(r"([0-9a-f]{64})?", dataset_hash):
+                raise ValueError(f"field 'dataset_hash' is {dataset_hash!r}, not \"\" or 64 lowercase hex digits")
+            partial = _typed(meta, "partial", bool)
             stored_streams = sorted(_typed(meta, "streams", dict).items())
             if not stored_streams:
                 raise ValueError("field 'streams' is empty")
@@ -581,7 +587,7 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, d
                 if tuple(shape) != arr.shape:
                     raise DatasetError(f"{path}: checkpoint {what}: shape {shape} != {arr.shape}")
                 block(what, arr.nbytes, crc32, into=arr)
-            streams[name] = {"stream": stream, **best, "dataset_hash": dataset_hash}
+            streams[name] = {"stream": stream, **best, "dataset_hash": dataset_hash, "partial": partial}
     return config, dims, streams
 
 

@@ -334,6 +334,9 @@ def test_checkpoint_with_an_invalid_config_is_data_error(dataset_path, checkpoin
         (lambda meta: meta.update(streams=[1]), "'streams'"),
         (lambda meta: meta.update(streams={}), "'streams'"),
         (lambda meta: meta.update(dataset_hash=None), "'dataset_hash'"),
+        (lambda meta: meta.update(dataset_hash="x"), "'dataset_hash'"),
+        (lambda meta: meta.update(dataset_hash="0" * 63), "'dataset_hash'"),
+        (lambda meta: meta.update(partial="x"), "'partial'"),
         (lambda meta: meta["streams"]["rgb"].update(params=[1]), "'params'"),
         (lambda meta: meta["streams"]["rgb"]["params"]["head.b"].pop("crc32"), "'crc32'"),
         (lambda meta: meta["streams"]["rgb"].pop("best_epoch"), "'best_epoch'"),
@@ -342,7 +345,8 @@ def test_checkpoint_with_an_invalid_config_is_data_error(dataset_path, checkpoin
         (lambda meta: meta["streams"].update(video=meta["streams"].pop("rgb")), "'streams'"),
     ],
     ids=[
-        "no dims", "negative clip_len", "streams a list", "no streams", "null dataset_hash", "params a list",
+        "no dims", "negative clip_len", "streams a list", "no streams", "null dataset_hash", "dataset_hash x",
+        "dataset_hash of 63 digits", "partial a string", "params a list",
         "no crc32", "no best_epoch", "negative best_epoch", "best_val_acc a string", "stream of another name",
     ],
 )

@@ -3,12 +3,10 @@ import json
 import re
 import tracemalloc
 import zlib
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import poseattn.data
 from poseattn.data import (
     MAGIC,
     ChecksumError,
@@ -299,10 +297,21 @@ def test_content_hash_changes_with_content(tmp_path):
     save_dataset(p1, ds)
     save_dataset(p2, ds)
     assert dataset_content_hash(p1) == dataset_content_hash(p2)
-    blob = bytearray(p2.read_bytes())
-    blob[-1] ^= 1
-    p2.write_bytes(bytes(blob))
+    ds.sequences["seq-002"].features[3, 1, 2] += 1.0
+    save_dataset(p2, ds)
     assert dataset_content_hash(p1) != dataset_content_hash(p2)
+    blob = bytearray(p1.read_bytes())
+    blob[-1] ^= 1
+    p1.write_bytes(bytes(blob))
+    with pytest.raises(ChecksumError, match=f"{re.escape(str(p1))}: record seq-003: checksum mismatch"):
+        load_dataset(p1)
+
+
+def test_content_hash_is_the_sha256_of_the_stored_header(tmp_path):
+    path = saved(tmp_path)
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    assert load_dataset(path).content_hash == hashlib.sha256(blob[16 : 16 + n]).hexdigest()
 
 
 def test_save_holds_one_encoded_block_at_a_time(tmp_path):
@@ -319,7 +328,7 @@ def test_save_holds_one_encoded_block_at_a_time(tmp_path):
     assert peak < 6 * block, peak
 
 
-def test_load_hashes_every_byte_holding_few_blocks(tmp_path):
+def test_load_holds_few_blocks(tmp_path):
     path = tmp_path / "d.bin"
     save_dataset(path, tiny_dataset(n=16, t=20, d=512))  # 20 x 4 x 512 f4 features: about 160 kB a block
     block = 20 * 4 * 512 * 4
@@ -334,37 +343,9 @@ def test_load_hashes_every_byte_holding_few_blocks(tmp_path):
         for s in dataset.sequences.values()
         for a in (s.seq.joints3d, s.seq.subject_present, s.features, s.gt_slot, s.gt_window)
     )
-    # One block being hashed, one waiting for the hasher and one being
-    # decoded; holding every block would peak 16 blocks above the arrays kept.
+    # One block being read and decoded; holding every block would peak 16
+    # blocks above the arrays kept.
     assert peak - kept < 4 * block, (peak - kept) / block
-    assert dataset.content_hash == dataset_content_hash(path) == hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-@pytest.mark.parametrize("batch_bytes", [1000, None])
-def test_load_hashes_a_file_of_many_small_blocks_in_order(tmp_path, monkeypatch, batch_bytes):
-    # Batches of three blocks and a short last one, or the default bound.
-    path = tmp_path / "d.bin"
-    save_dataset(path, tiny_dataset(n=300, t=3, d=2))  # 300 blocks of 338 bytes
-    if batch_bytes is not None:
-        monkeypatch.setattr(poseattn.data, "HASH_BATCH_BYTES", batch_bytes)
-    dataset = load_dataset(path)
-    assert len(dataset.sequences) == 300
-    assert dataset.content_hash == dataset_content_hash(path) == hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def test_a_hashing_failure_is_raised_by_the_load(tmp_path, monkeypatch):
-    class HashFailure(Exception):
-        pass
-
-    class FailingDigest:
-        def update(self, blob):
-            if blob[:1] == b"{":  # the manifest header
-                raise HashFailure("digest failed")
-
-    path = saved(tmp_path)
-    monkeypatch.setattr(poseattn.data, "hashlib", SimpleNamespace(sha256=FailingDigest))
-    with pytest.raises(HashFailure, match="digest failed"):
-        load_dataset(path)
 
 
 # Seeded corruptions of a real multi-record file.  Each case loads the

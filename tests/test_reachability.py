@@ -39,7 +39,7 @@ ALLOWED_UNREACHED = {
     "tensor.gru_scan.<locals>.vjp_h0": "only gru_cell_step, hooked by the benchmark, passes a tracked state",
     "nn.gru_cell_step": "hooked by the benchmark",
     "nn.GruParams.input_dim": "read by gru_cell_step",
-    "data.dataset_content_hash": "hooked by the benchmark",
+    "data.dataset_content_hash": "hooked by the benchmark by name; one load's content_hash",
     "training.TrainResult.prepared": "read by the benchmark's workloads",
     # Chosen by matrix size and CPU count: the paper-scale workload reaches it.
     "tensor.on_two_cpus": "splits GEMMs and Adam updates above a size, on two CPUs",

@@ -10,6 +10,7 @@ import pytest
 
 import poseattn.data
 import poseattn.training as training
+from poseattn import cli
 from poseattn.data import ChecksumError, DatasetError, dataset_content_hash, load_dataset, save_dataset
 from poseattn.model import CONDITIONINGS, StreamOutput
 from poseattn.pose import eval_window_starts, window_indices
@@ -215,7 +216,7 @@ class TestTraining:
             run_train(tiny_config(featureless_dataset_path, variant=variant))
 
     def test_nan_gradient_aborts_preserving_checkpoint(
-        self, tiny_dataset_path, tmp_path, monkeypatch
+        self, tiny_dataset_path, tmp_path, monkeypatch, capsys
     ):
         calls = {"n": 0}
         real = training.adam_step
@@ -249,9 +250,28 @@ class TestTraining:
         monkeypatch.setattr(training, "adam_step", late_poison)
         with pytest.raises(NumericError):
             run_train(config)
-        assert (out_dir / "checkpoint.bin").exists()
-        _, _, streams = load_checkpoint(out_dir / "checkpoint.bin")
-        assert "rgb" in streams
+        checkpoint = out_dir / "checkpoint.bin"
+        _, _, streams = load_checkpoint(checkpoint)
+        assert "rgb" in streams and streams["rgb"]["partial"]
+
+        # eval and dump-attention score it, naming it partial in one stderr line.
+        note = f"note: checkpoint {checkpoint} is partial"
+        flags = ["--checkpoint", str(checkpoint), "--dataset", tiny_dataset_path]
+        dump = ["--out", str(tmp_path / "attn.jsonl")]
+        capsys.readouterr()
+        for argv in (["eval"] + flags, ["dump-attention"] + flags + dump):
+            assert cli.main(argv) == 0
+            assert [line for line in capsys.readouterr().err.splitlines() if "partial" in line] == [
+                f"{note}: training stopped on a numeric failure"
+            ]
+        # A complete checkpoint gets no such line.
+        monkeypatch.setattr(training, "adam_step", real)
+        run_train(config)
+        assert not load_checkpoint(checkpoint)[2]["rgb"]["partial"]
+        capsys.readouterr()
+        for argv in (["eval"] + flags, ["dump-attention"] + flags + dump):
+            assert cli.main(argv) == 0
+            assert "partial" not in capsys.readouterr().err
 
     def test_run_dir_contains_config_and_dataset_hash(self, tiny_dataset_path, tmp_path):
         out = tmp_path / "run"
@@ -361,7 +381,7 @@ class TestCheckpoint:
         blob = (out / "checkpoint.bin").read_bytes()
         n = int.from_bytes(blob[8:16], "little")
         meta = json.loads(blob[16 : 16 + n])
-        assert blob[:8] == training.CHECKPOINT_MAGIC and meta["version"] == 3
+        assert blob[:8] == training.CHECKPOINT_MAGIC and meta["version"] == 4
         assert list(meta["streams"]) == ["pose", "rgb"]
         expected = bytearray(blob[: 16 + n]) + zlib.crc32(blob[16 : 16 + n]).to_bytes(4, "little")
         n_values = 0
@@ -391,17 +411,19 @@ class TestCheckpoint:
             with pytest.raises(DatasetError, match=rf"cut\.bin.*{field}"):
                 load_checkpoint(cut)
 
-    def test_version_2_checkpoint_rejected_with_retrain(self, tiny_dataset_path, tmp_path):
-        # Version 2 had no header checksum and held Adam's moments.
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_older_checkpoint_rejected_with_retrain(self, tiny_dataset_path, tmp_path, version):
+        # Version 2 had no header checksum and held Adam's moments; version 3
+        # recorded the sha256 of the whole dataset file as its dataset_hash.
         out = tmp_path / "ck"
         run_train(tiny_config(tiny_dataset_path, max_epochs=1, out_dir=str(out)))
         blob = (out / "checkpoint.bin").read_bytes()
         header_end = 16 + int.from_bytes(blob[8:16], "little")
         meta = json.loads(blob[16:header_end])
-        header = json.dumps({**meta, "version": 2}, sort_keys=True).encode()
-        old = tmp_path / "v2.bin"
+        header = json.dumps({**meta, "version": version}, sort_keys=True).encode()
+        old = tmp_path / f"v{version}.bin"
         old.write_bytes(blob[:8] + len(header).to_bytes(8, "little") + header + blob[header_end + 4 :])
-        with pytest.raises(DatasetError, match=r"v2\.bin.*version 2.*retrain"):
+        with pytest.raises(DatasetError, match=rf"v{version}\.bin.*version {version} != 4.*retrain"):
             load_checkpoint(old)
 
     def test_bad_magic_rejected(self, tmp_path):
