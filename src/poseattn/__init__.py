@@ -6,8 +6,8 @@ import sys
 
 # Thread settings that BLAS and OpenMP read when numpy loads them.  One
 # thread unless the caller set one: a run's bits then do not depend on the
-# machine, and the package's own GEMM split (``tensor._mm``) uses the second
-# CPU without oversubscribing it.  A pin set after numpy has loaded does
+# machine, and the package's own GEMM splits (``tensor.TwoCpus``) use the
+# second CPU without oversubscribing it.  A pin set after numpy has loaded does
 # nothing; ``NUMPY_LOADED_BEFORE_PIN`` records that for ``timing.json``.
 THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 NUMPY_LOADED_BEFORE_PIN = "numpy" in sys.modules

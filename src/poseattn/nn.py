@@ -292,7 +292,8 @@ def adam_step(state: AdamState, params: dict[str, Tensor], grads: dict[str, np.n
     if sum(g.size for g in grads.values()) < ADAM_THREAD_MIN or len(os.sched_getaffinity(0)) < 2:
         _adam_blocks(blocks, coeffs)
     else:
-        T.on_two_cpus(lambda: _adam_blocks(blocks[::2], coeffs), lambda: _adam_blocks(blocks[1::2], coeffs))
+        with T.TwoCpus() as cpus:
+            cpus.run(lambda: _adam_blocks(blocks[::2], coeffs), lambda: _adam_blocks(blocks[1::2], coeffs))
 
 
 def _adam_blocks(blocks: list, coeffs: tuple) -> None:

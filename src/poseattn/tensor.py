@@ -11,6 +11,7 @@ float64: the gradient checker drives the test suite and needs the headroom.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -171,26 +172,71 @@ def _make(out_data: Array, op: str, parents: Sequence[Tensor], vjps: Sequence[Ca
     return out
 
 
-def on_two_cpus(here: Callable[[], object], helper: Callable[[], object]) -> None:
-    """Run ``here`` on this thread while ``helper`` runs on a helper thread.
-    The helper is joined whether ``here`` returns or raises, and an
-    exception raised on it is re-raised here."""
-    failed: list[BaseException] = []
+class TwoCpus:
+    """A helper thread for the jobs of one ``with`` block: entering the block
+    starts it, each ``run`` wakes it through a semaphore for one job, and
+    leaving the block joins it, whether the body returns or raises.  numpy's
+    loops and BLAS calls release the GIL, so a job on the helper and one on
+    the calling thread run on two CPUs.  A block that runs one job costs a
+    thread start and join, about 0.1 ms; a scan opens one block for all of
+    its steps."""
 
-    def run() -> None:
+    def __init__(self) -> None:
+        self._job: Callable[[], object] | None = None
+        self._failed: list[BaseException] = []
+        self._wake = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve, name="poseattn-helper", daemon=True)
+
+    def __enter__(self) -> "TwoCpus":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._job = None  # tells the helper to return
+        self._wake.release()
+        self._thread.join()
+
+    def _serve(self) -> None:
+        while True:
+            self._wake.acquire()
+            job = self._job
+            if job is None:
+                return
+            try:
+                job()
+            except BaseException as e:  # re-raised on the calling thread
+                self._failed.append(e)
+            self._done.release()
+
+    def run(self, here: Callable[[], object], there: Callable[[], object]) -> None:
+        """Run ``here`` on this thread while ``there`` runs on the helper.
+        Returns once both are done, also when ``here`` raises; an exception
+        raised by ``there`` is re-raised here."""
+        self._job = there
+        self._wake.release()
         try:
-            helper()
-        except BaseException as e:
-            failed.append(e)
+            here()
+        finally:
+            self._done.acquire()
+        if self._failed:
+            raise self._failed.pop()
 
-    thread = threading.Thread(target=run, name="poseattn-helper", daemon=True)
-    thread.start()
-    try:
-        here()
-    finally:
-        thread.join()
-    if failed:
-        raise failed[0]
+    def mm(self, a: Array, b: Array, out: Array | None = None) -> Array:
+        """``np.matmul(a, b, out=out)`` for matrices a (M, K) and b (K, N),
+        the right half of C's columns computed on the helper when N is a
+        multiple of 16 and M*N*K >= ``MM_SPLIT_MIN`` / 2.  Bitwise equal to
+        one whole ``np.matmul``: each column of C goes through the same K
+        loop, in the same micro-kernel, whichever call computes it."""
+        m, k = a.shape
+        n = b.shape[1]
+        if n % 16 or 2 * m * n * k < MM_SPLIT_MIN:
+            return np.matmul(a, b, out=out)
+        if out is None:
+            out = np.empty((m, n), np.result_type(a, b))
+        h = n // 2
+        self.run(lambda: np.matmul(a, b[:, :h], out=out[:, :h]), lambda: np.matmul(a, b[:, h:], out=out[:, h:]))
+        return out
 
 
 # GEMMs of at least this many multiply-adds (M*N*K) split C's rows between
@@ -199,7 +245,8 @@ def on_two_cpus(here: Callable[[], object], helper: Callable[[], object]) -> Non
 # takes a small-matrix path on which they can; a half of one row, which
 # numpy hands to a matrix-vector routine, changes them at any size.  A
 # thread start and join (about 0.1 ms) is under a tenth of the half of
-# such a GEMM that it takes over.
+# such a GEMM that it takes over.  A scan whose gate GEMM (B, H) @ (H, 2H)
+# has this many splits its step GEMMs by columns (``_step_gemms``).
 MM_SPLIT_MIN = 1 << 26
 
 
@@ -215,8 +262,22 @@ def _mm(a: Array, b: Array, out: Array | None = None) -> Array:
     if out is None:
         out = np.empty((m, n), np.result_type(a, b))
     h = m // 2
-    on_two_cpus(lambda: np.matmul(a[:h], b, out=out[:h]), lambda: np.matmul(a[h:], b, out=out[h:]))
+    with TwoCpus() as cpus:
+        cpus.run(lambda: np.matmul(a[:h], b, out=out[:h]), lambda: np.matmul(a[h:], b, out=out[h:]))
     return out
+
+
+@contextlib.contextmanager
+def _step_gemms(B: int, H: int):
+    """The GEMM a scan of batch B and state size H runs its steps with:
+    ``TwoCpus.mm`` on one helper kept for the whole scan when the gate GEMM
+    (B, H) @ (H, 2H) has at least ``MM_SPLIT_MIN`` multiply-adds and the
+    process may use more than one CPU, else ``np.matmul``."""
+    if B * 2 * H * H < MM_SPLIT_MIN or len(os.sched_getaffinity(0)) < 2:
+        yield np.matmul
+        return
+    with TwoCpus() as cpus:
+        yield cpus.mm
 
 
 def _check_same_shape(a: Array, b: Array, op: str) -> None:
@@ -477,41 +538,46 @@ def log_softmax(a: Tensor) -> Tensor:
     return _make(z - np.log(s), "log_softmax", (a,), (vjp,))
 
 
-def _gru_step(h: Array, xp_t: Array, U_zrT: Array, U_cT: Array, zr_t: Array, c_t: Array, h_t: Array) -> None:
-    """One GRU step from state h (B, H) on a projected input xp_t (B, 3H).
+def _gru_step(
+    h: Array, xp_t: Array, U_zrT: Array, U_cT: Array, zr_t: Array, c_t: Array, h_t: Array, mm: Callable
+) -> None:
+    """One GRU step from state h (B, H) on a projected input xp_t (B, 3H),
+    its GEMMs run by ``mm`` (``_step_gemms``).
 
     Writes the z, r gates into zr_t (B, 2H), the candidate into c_t (B, H)
     and the new state into h_t (B, H).  Floating-point addition commutes, so
     adding the input projection onto the GEMM output keeps every bit.
     """
     H = h.shape[1]
-    np.matmul(h, U_zrT, out=zr_t)
+    mm(h, U_zrT, out=zr_t)
     zr_t += xp_t[:, : 2 * H]
     zr_t *= 0.5
     np.tanh(zr_t, out=zr_t)
     zr_t += 1.0
     zr_t *= 0.5
     z, r = zr_t[:, :H], zr_t[:, H:]
-    np.matmul(r * h, U_cT, out=c_t)
+    mm(r * h, U_cT, out=c_t)
     c_t += xp_t[:, 2 * H :]
     np.tanh(c_t, out=c_t)
     np.multiply(1.0 - z, h, out=h_t)
     h_t += z * c_t
 
 
-def _gru_step_back(dh: Array, zr_t: Array, c_t: Array, hp: Array, U_zr: Array, U_c: Array, d: Array) -> None:
+def _gru_step_back(
+    dh: Array, zr_t: Array, c_t: Array, hp: Array, U_zr: Array, U_c: Array, d: Array, mm: Callable
+) -> None:
     """Back through one ``_gru_step`` from state hp: writes the gradient of
     xp_t into d (B, 3H) and turns dh, the gradient of the new state, into
-    that of hp, in place."""
+    that of hp, in place.  ``mm`` runs its GEMMs."""
     H = hp.shape[1]
     z, r = zr_t[:, :H], zr_t[:, H:]
     np.multiply(dh * z, 1.0 - c_t * c_t, out=d[:, 2 * H :])
-    drh = d[:, 2 * H :] @ U_c
+    drh = mm(d[:, 2 * H :], U_c)
     np.multiply(dh * (c_t - hp), z * (1.0 - z), out=d[:, :H])
     np.multiply(drh * hp, r * (1.0 - r), out=d[:, H : 2 * H])
     dh *= 1.0 - z
     dh += drh * r
-    dh += d[:, : 2 * H] @ U_zr
+    dh += mm(d[:, : 2 * H], U_zr)
 
 
 def _gru_dU(d_rows: Array, h_rows: Array, rh_rows: Array) -> Array:
@@ -557,18 +623,20 @@ def gru_scan(xp: Tensor, U: Tensor, h0: Tensor) -> Tensor:
     c = np.empty((n, B, H))
     hs = np.empty((B, n, H))
     h = hd
-    for t in range(n):
-        _gru_step(h, xd[:, t], U_zrT, U_cT, zr[t], c[t], hs[:, t])
-        h = hs[:, t]
+    with _step_gemms(B, H) as mm:
+        for t in range(n):
+            _gru_step(h, xd[:, t], U_zrT, U_cT, zr[t], c[t], hs[:, t], mm)
+            h = hs[:, t]
     swept: list = [None, None]  # [g, (dxp, dh0)]: the first VJP called runs the sweep
 
     def sweep(g):
         if swept[0] is not g:
             dxp = np.empty((B, n, 3 * H))
             dh = np.zeros((B, H))
-            for t in reversed(range(n)):
-                dh += g[:, t]
-                _gru_step_back(dh, zr[t], c[t], hs[:, t - 1] if t else hd, U_zr, U_c, dxp[:, t])
+            with _step_gemms(B, H) as mm:
+                for t in reversed(range(n)):
+                    dh += g[:, t]
+                    _gru_step_back(dh, zr[t], c[t], hs[:, t - 1] if t else hd, U_zr, U_c, dxp[:, t], mm)
             swept[:] = g, (dxp, dh)
         return swept[1]
 
@@ -666,39 +734,40 @@ def attend_scan(
     ctxs: list[Array] = []  # the GRU inputs
     zrs: list[Array] = []  # the GRU gates
     cs: list[Array] = []  # the GRU candidates
-    for t in range(n):
-        h = hs[t]
-        x = h if pose is None else np.concatenate((pose.data[:, t], h), axis=1)
-        a = x @ W0T
-        a += b0d
-        live = a > 0
-        u = np.where(live, a, 0.0)
-        if drop_u is not None:
-            u = u * drop_u[t]
-        logits = u @ W1T
-        logits += b1d
-        logits = logits.reshape(B, 1, K)
-        if bias is not None:
-            logits = logits + bias.data[:, t : t + 1]
-        # softmax's reductions, without the ndarray methods' Python wrappers
-        e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
-        p = e / np.add.reduce(e, axis=-1, keepdims=True)
-        ctx = p * md[:, t : t + 1] @ vd[:, t]  # (B, 1, K) @ (B, K, D)
-        if drop_ctx is not None:
-            ctx = ctx * drop_ctx[t][:, None]
-        xp = ctx.reshape(B, D) @ WT
-        xp += bd
-        zr, c, h_t = np.empty((B, 2 * H)), np.empty((B, H)), np.empty((B, H))
-        _gru_step(h, xp, U_zrT, U_cT, zr, c, h_t)
-        hs.append(h_t)
-        ps.append(p)
-        if keep:
-            xs.append(x)
-            lives.append(live)
-            us.append(u)
-            ctxs.append(ctx.reshape(B, D))
-            zrs.append(zr)
-            cs.append(c)
+    with _step_gemms(B, H) as mm:
+        for t in range(n):
+            h = hs[t]
+            x = h if pose is None else np.concatenate((pose.data[:, t], h), axis=1)
+            a = x @ W0T
+            a += b0d
+            live = a > 0
+            u = np.where(live, a, 0.0)
+            if drop_u is not None:
+                u = u * drop_u[t]
+            logits = u @ W1T
+            logits += b1d
+            logits = logits.reshape(B, 1, K)
+            if bias is not None:
+                logits = logits + bias.data[:, t : t + 1]
+            # softmax's reductions, without the ndarray methods' Python wrappers
+            e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+            p = e / np.add.reduce(e, axis=-1, keepdims=True)
+            ctx = p * md[:, t : t + 1] @ vd[:, t]  # (B, 1, K) @ (B, K, D)
+            if drop_ctx is not None:
+                ctx = ctx * drop_ctx[t][:, None]
+            xp = mm(ctx.reshape(B, D), WT)
+            xp += bd
+            zr, c, h_t = np.empty((B, 2 * H)), np.empty((B, H)), np.empty((B, H))
+            _gru_step(h, xp, U_zrT, U_cT, zr, c, h_t, mm)
+            hs.append(h_t)
+            ps.append(p)
+            if keep:
+                xs.append(x)
+                lives.append(live)
+                us.append(u)
+                ctxs.append(ctx.reshape(B, D))
+                zrs.append(zr)
+                cs.append(c)
     swept: list = [None, None]  # [g, (da, dl, dxp)]: the first VJP called runs the sweep
 
     def sweep(g):
@@ -706,22 +775,23 @@ def attend_scan(
             da, dl, dxp = np.empty((n, B, A)), np.empty((n, B, K)), np.empty((n, B, 3 * H))
             dh = np.zeros((B, H))
             W0h = W0d[:, P:]  # the columns that read the state
-            for t in reversed(range(n)):
-                dh += g[:, t]
-                _gru_step_back(dh, zrs[t], cs[t], hs[t], U_zr, U_c, dxp[t])
-                dctx = dxp[t] @ Wd
-                if drop_ctx is not None:
-                    dctx *= drop_ctx[t]
-                dp = np.matmul(vd[:, t], dctx[:, :, None])[:, :, 0]
-                dp *= md[:, t]
-                p_t = ps[t][:, 0]
-                np.multiply(p_t, dp - np.add.reduce(dp * p_t, axis=-1, keepdims=True), out=dl[t])
-                du = dl[t] @ W1d
-                if drop_u is not None:
-                    du *= drop_u[t]
-                np.multiply(du, lives[t], out=da[t])
-                if t:  # the first state is a constant
-                    dh += da[t] @ W0h
+            with _step_gemms(B, H) as mm:
+                for t in reversed(range(n)):
+                    dh += g[:, t]
+                    _gru_step_back(dh, zrs[t], cs[t], hs[t], U_zr, U_c, dxp[t], mm)
+                    dctx = mm(dxp[t], Wd)
+                    if drop_ctx is not None:
+                        dctx *= drop_ctx[t]
+                    dp = np.matmul(vd[:, t], dctx[:, :, None])[:, :, 0]
+                    dp *= md[:, t]
+                    p_t = ps[t][:, 0]
+                    np.multiply(p_t, dp - np.add.reduce(dp * p_t, axis=-1, keepdims=True), out=dl[t])
+                    du = dl[t] @ W1d
+                    if drop_u is not None:
+                        du *= drop_u[t]
+                    np.multiply(du, lives[t], out=da[t])
+                    if t:  # the first state is a constant
+                        dh += da[t] @ W0h
             swept[:] = g, (da.reshape(n * B, A), dl.reshape(n * B, K), dxp.reshape(n * B, 3 * H))
         return swept[1]
 

@@ -9,6 +9,7 @@ with the same config reproduces metrics bitwise.
 """
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import os
@@ -405,17 +406,32 @@ class TrainResult:
 
 
 def blas_setup() -> dict:
-    """The BLAS numpy was built with, the thread variables this process sees
-    (None when unset), whether numpy had loaded before the package set them
-    (the pin then did nothing) and the CPUs it may run on.  The thread count
-    OpenBLAS actually runs is not read: that needs ``threadpoolctl``."""
+    """The BLAS numpy was built with, the thread count it runs (None when it
+    cannot be read), the thread variables this process sees (None when
+    unset), whether numpy had loaded before the package set them (the pin
+    then did nothing) and the CPUs it may run on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
     return {
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": _openblas_threads(),
         "thread_env": {var: os.environ.get(var) for var in THREAD_ENV},
         "numpy_loaded_before_pin": NUMPY_LOADED_BEFORE_PIN,
         "cpus": len(os.sched_getaffinity(0)),
     }
+
+
+def _openblas_threads() -> int | None:
+    """The thread count of the OpenBLAS that numpy's wheels bundle under
+    ``numpy.libs/``, read from the loaded library; None when numpy has no
+    such library."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so*")):
+        try:
+            query = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        query.argtypes, query.restype = [], ctypes.c_int
+        return query()
+    return None
 
 
 def run_train(config: RunConfig, dataset: Dataset | None = None) -> TrainResult:

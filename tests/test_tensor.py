@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 import zlib
@@ -498,26 +499,40 @@ _SPLIT_GEMMS = {
 
 
 @pytest.fixture
-def counted_splits(monkeypatch):
-    """The process may use two CPUs; every ``on_two_cpus`` call is counted."""
+def two_cpus(monkeypatch):
+    """The process may use two CPUs; counts the helper threads started and
+    the jobs run on them."""
     monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0, 1})
-    calls = []
-    run = T.on_two_cpus
-    monkeypatch.setattr(T, "on_two_cpus", lambda *jobs: calls.append(jobs) or run(*jobs))
-    return calls
+    counts = {"helpers": 0, "jobs": 0}
+
+    class Counted(T.TwoCpus):
+        def __enter__(self):
+            counts["helpers"] += 1
+            return super().__enter__()
+
+        def run(self, here, there):
+            counts["jobs"] += 1
+            super().run(here, there)
+
+    monkeypatch.setattr(T, "TwoCpus", Counted)
+    return counts
+
+
+def _no_helper_left():
+    return not any(t.name == "poseattn-helper" for t in threading.enumerate())
 
 
 @pytest.mark.parametrize("name", list(_SPLIT_GEMMS))
-def test_a_split_gemm_is_bitwise_one_matmul(name, counted_splits):
+def test_a_split_gemm_is_bitwise_one_matmul(name, two_cpus):
     a, b, out = _SPLIT_GEMMS[name](np.random.default_rng(zlib.crc32(name.encode())))
     whole = np.matmul(a, b)
     got = T._mm(a, b, out=out)
-    assert len(counted_splits) == 1
+    assert two_cpus == {"helpers": 1, "jobs": 1}
     assert out is None or got is out
     assert got.shape == whole.shape and got.tobytes() == whole.tobytes()
 
 
-def test_a_gemm_below_the_split_size_or_on_one_cpu_runs_whole(counted_splits, monkeypatch):
+def test_a_gemm_below_the_split_size_or_on_one_cpu_runs_whole(two_cpus, monkeypatch):
     rng = np.random.default_rng(8)
     a, b = rng.normal(size=(63, 1024)), rng.normal(size=(1024, 1024))
     assert a.shape[0] * 1024 * 1024 < T.MM_SPLIT_MIN
@@ -531,10 +546,123 @@ def test_a_gemm_below_the_split_size_or_on_one_cpu_runs_whole(counted_splits, mo
     monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0})
     a = rng.normal(size=(640, 1024))
     assert np.array_equal(T._mm(a, b), a @ b)
-    assert counted_splits == []
+    assert two_cpus == {"helpers": 0, "jobs": 0}
 
 
-def test_an_error_on_the_helper_thread_is_raised_after_the_join(counted_splits, monkeypatch):
+# Every per-step GEMM that a paper-scale scan splits (GRU 1024, features
+# 2048), in its memory layout: gru_scan reads the state as a strided row of
+# its (B, T, H) buffer, writes the gates and candidate into time-major
+# buffers and takes d xp as a strided row of (B, T, 3H); attend_scan keeps
+# each frame's arrays apart and d xp time-major, and adds the ctx @ W.T and
+# d xp @ W GEMMs of the ``hidden`` and ``both`` conditionings.  U.T and W.T
+# are views.
+_T, _H, _D = 3, 1024, 2048
+
+
+def _U(r):
+    return r.normal(size=(3 * _H, _H))
+
+
+_STEP_GEMMS = {
+    "gru_scan h @ U_zr.T": lambda r, B: (
+        r.normal(size=(B, _T, _H))[:, 1], _U(r)[: 2 * _H].T, np.empty((_T, B, 2 * _H))[1]
+    ),
+    "(r*h) @ U_c.T": lambda r, B: (r.normal(size=(B, _H)), _U(r)[2 * _H :].T, np.empty((_T, B, _H))[1]),
+    "gru_scan d_c @ U_c": lambda r, B: (r.normal(size=(B, _T, 3 * _H))[:, 1, 2 * _H :], _U(r)[2 * _H :], None),
+    "gru_scan d_zr @ U_zr": lambda r, B: (r.normal(size=(B, _T, 3 * _H))[:, 1, : 2 * _H], _U(r)[: 2 * _H], None),
+    "attend_scan h @ U_zr.T": lambda r, B: (r.normal(size=(B, _H)), _U(r)[: 2 * _H].T, np.empty((B, 2 * _H))),
+    "attend_scan d_c @ U_c": lambda r, B: (r.normal(size=(_T, B, 3 * _H))[1, :, 2 * _H :], _U(r)[2 * _H :], None),
+    "attend_scan d_zr @ U_zr": lambda r, B: (r.normal(size=(_T, B, 3 * _H))[1, :, : 2 * _H], _U(r)[: 2 * _H], None),
+    "attend_scan ctx @ W.T": lambda r, B: (r.normal(size=(B, _D)), r.normal(size=(3 * _H, _D)).T, None),
+    "attend_scan dxp @ W": lambda r, B: (r.normal(size=(_T, B, 3 * _H))[1], r.normal(size=(3 * _H, _D)), None),
+}
+
+
+# B: a training batch, an eval chunk (16 sequences of 5 windows) and the
+# eval chunk of a 7-sequence tail.
+@pytest.mark.parametrize("B", [32, 80, 35])
+@pytest.mark.parametrize("name", list(_STEP_GEMMS))
+def test_a_column_split_step_gemm_is_bitwise_one_matmul(name, B, two_cpus):
+    a, b, out = _STEP_GEMMS[name](np.random.default_rng(zlib.crc32(f"{name} {B}".encode())), B)
+    whole = np.matmul(a, b)
+    with T.TwoCpus() as cpus:
+        got = cpus.mm(a, b, out=out)
+    assert two_cpus == {"helpers": 1, "jobs": 1}
+    assert out is None or got is out
+    assert got.shape == whole.shape and got.tobytes() == whole.tobytes()
+
+
+def _paper_scans(rng):
+    """gru_scan and attend_scan (``both``: pose, logit bias, dropout) at paper
+    scale over 3 frames; their outputs and every parameter's gradient."""
+    B, n, K, P, A = 32, 3, 4, 144, 256
+    gru = [Tensor(rng.normal(size=s) * 0.05, requires_grad=True) for s in ((B, n, 3 * _H), (3 * _H, _H), (B, _H))]
+    mask = (rng.random((B, n, K)) > 0.3).astype(float)
+    fixed = (
+        Tensor(rng.normal(size=(B, n, K, _D))), Tensor(mask), Tensor(rng.normal(size=(B, n, P))),
+        Tensor((1.0 - mask) * -1e9), tuple((rng.random((n, B, m)) >= 0.5) / 0.5 for m in (A, _D)),
+    )
+    shapes = ((A, P + _H), (A,), (K, A), (K,), (3 * _H, _D), (3 * _H,), (3 * _H, _H))
+    attend = [Tensor(rng.normal(size=s) * 0.02, requires_grad=True) for s in shapes]
+    w_gru, w_attend = rng.normal(size=(B, n, _H)), rng.normal(size=(B, n, _H))
+    with Tape() as tape:
+        h_gru = T.gru_scan(*gru)
+        h_attend, p = T.attend_scan(*fixed, *attend)
+        loss = T.add(T.sum_axis(T.multiply(h_gru, Tensor(w_gru))), T.sum_axis(T.multiply(h_attend, Tensor(w_attend))))
+    tape.backward(loss)
+    return [h_gru.data, h_attend.data, p.data] + [t.grad for t in gru + attend]
+
+
+def test_paper_scale_scans_split_their_steps_with_the_same_bits(two_cpus, monkeypatch):
+    two = _paper_scans(np.random.default_rng(26))
+    # A forward and a sweep per scan, each with one helper for all of its
+    # steps: 2 GEMMs per GRU step and 3 per attend_scan frame.  Five more
+    # helpers run one job each: the weight gradients that _mm splits by rows
+    # (both scans' dU halves and attend_scan's dW).
+    assert two_cpus == {"helpers": 4 + 5, "jobs": 3 * (2 + 2 + 3 + 3) + 5}
+    monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0})
+    one = _paper_scans(np.random.default_rng(26))
+    assert two_cpus["helpers"] == 4 + 5
+    assert [a.tobytes() for a in two] == [a.tobytes() for a in one]
+
+
+# Scans that run whole: the paper-scale gradcheck's 2-window forward, a
+# paper-scale training tail batch, the paper-scale pose stream (H 150), and
+# the acceptance-scale RGB and pose streams (GRU 48 and 64, batch 32, eval
+# chunk 80; criterion 9's 16 and the tests' 12 and 8).
+@pytest.mark.parametrize("B, H", [
+    (2, 1024), (31, 1024), (32, 150), (80, 150),
+    (32, 48), (80, 48), (32, 64), (80, 64), (16, 16), (80, 16), (16, 12), (16, 8),
+])
+def test_a_scan_below_the_split_size_starts_no_helper(B, H, two_cpus):
+    assert B * 2 * H * H < T.MM_SPLIT_MIN
+    with T._step_gemms(B, H) as mm:
+        assert mm is np.matmul
+    assert two_cpus == {"helpers": 0, "jobs": 0}
+
+
+def test_a_scan_on_one_cpu_starts_no_helper(two_cpus, monkeypatch):
+    monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0})
+    with T._step_gemms(80, 1024) as mm:
+        assert mm is np.matmul
+    assert two_cpus == {"helpers": 0, "jobs": 0}
+
+
+def test_a_step_gemm_that_could_change_bits_runs_whole_on_the_helper_block(two_cpus):
+    # A width that is no multiple of 16, and a GEMM whose halves fall under
+    # MM_SPLIT_MIN / 4 (a narrow ctx @ W.T): a column split of either could
+    # change bits.
+    rng = np.random.default_rng(9)
+    with T._step_gemms(32, 1024) as mm:
+        for a, b in (
+            (rng.normal(size=(32, 1000)), rng.normal(size=(1000, 1000)).T),
+            (rng.normal(size=(32, 16)), rng.normal(size=(3072, 16)).T),
+        ):
+            assert mm(a, b).tobytes() == np.matmul(a, b).tobytes()
+    assert two_cpus == {"helpers": 1, "jobs": 0}
+
+
+def test_an_error_on_the_helper_thread_is_raised_after_the_join(two_cpus, monkeypatch):
     caller = threading.current_thread()
     matmul = np.matmul
 
@@ -546,8 +674,14 @@ def test_an_error_on_the_helper_thread_is_raised_after_the_join(counted_splits, 
     monkeypatch.setattr(T.np, "matmul", failing)
     with pytest.raises(MemoryError, match="helper rows"):
         T._mm(np.ones((64, 1024)), np.ones((1024, 1024)))
-    assert len(counted_splits) == 1
-    assert not any(t.name == "poseattn-helper" for t in threading.enumerate())
+    assert two_cpus == {"helpers": 1, "jobs": 1}
+    assert _no_helper_left()
+    rng = np.random.default_rng(10)
+    xp, U, h0 = rng.normal(size=(32, 3, 3 * 1024)), rng.normal(size=(3 * 1024, 1024)), np.zeros((32, 1024))
+    with pytest.raises(MemoryError, match="helper rows"):
+        T.gru_scan(Tensor(xp), Tensor(U), Tensor(h0))
+    assert two_cpus == {"helpers": 2, "jobs": 2}
+    assert _no_helper_left()
 
 
 def test_an_error_on_this_thread_still_joins_the_helper():
@@ -557,5 +691,48 @@ def test_an_error_on_this_thread_still_joins_the_helper():
         raise ValueError("this thread")
 
     with pytest.raises(ValueError, match="this thread"):
-        T.on_two_cpus(fail, lambda: finished.append(time.sleep(0.05)))
+        with T.TwoCpus() as cpus:
+            cpus.run(fail, lambda: finished.append(time.sleep(0.05)))
     assert finished == [None]
+    assert _no_helper_left()
+
+
+def test_a_helper_serves_every_job_of_its_block_and_is_joined_when_the_block_raises():
+    ran_on = []
+    with pytest.raises(KeyError):
+        with T.TwoCpus() as cpus:
+            for _ in range(3):
+                cpus.run(lambda: None, lambda: ran_on.append(threading.current_thread()))
+            raise KeyError("body")
+    assert len(ran_on) == 3 and len(set(ran_on)) == 1
+    assert ran_on[0] is not threading.current_thread() and ran_on[0].name == "poseattn-helper"
+    assert not ran_on[0].is_alive()
+
+
+def test_every_job_is_done_once_when_run_returns_under_switch_stress():
+    # Four callers, each with its own helper: eight threads on fewer CPUs,
+    # switching as often as the interpreter allows.
+    interval = sys.getswitchinterval()
+    seen = {}
+
+    def caller(k):
+        done = [0] * 2000
+        after_run = []
+        with T.TwoCpus() as cpus:
+            for i in range(2000):
+                cpus.run(lambda: None, lambda i=i: done.__setitem__(i, done[i] + 1))
+                after_run.append(done[i])
+        seen[k] = (after_run, done)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert seen == {k: ([1] * 2000, [1] * 2000) for k in range(4)}
+    assert _no_helper_left()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import poseattn.data
+import poseattn.tensor as T
 import poseattn.training as training
 from poseattn import cli
 from poseattn.data import ChecksumError, DatasetError, dataset_content_hash, load_dataset, save_dataset
@@ -296,15 +297,49 @@ class TestTraining:
             out = tmp_path / "run"  # the checkpoint header holds out_dir
             run_train(tiny_config(tiny_dataset_path, max_epochs=1, out_dir=str(out)))
             timing = json.loads((out / "timing.json").read_text())
-            assert set(timing) == {"train_seconds", "blas", "thread_env", "numpy_loaded_before_pin", "cpus"}
+            assert set(timing) == {
+                "train_seconds", "blas", "blas_threads", "thread_env", "numpy_loaded_before_pin", "cpus",
+            }
             assert set(timing["blas"]) == {"name", "version"}
             assert timing["blas"]["name"] and timing["blas"]["version"]
+            # The pin holds: numpy loaded after it, and its OpenBLAS runs one thread.
+            assert timing["numpy_loaded_before_pin"] is False
+            assert timing["blas_threads"] == 1
             assert timing["thread_env"] == {
                 "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": omp, "MKL_NUM_THREADS": None,
             }
             assert timing["cpus"] == len(os.sched_getaffinity(0))
             runs.append({name: (out / name).read_bytes() for name in ("metrics.csv", "result.json", "checkpoint.bin")})
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("conditioning", ["pose", "both"])
+    def test_an_acceptance_scale_run_on_two_cpus_starts_no_helper(
+        self, conditioning, tiny_dataset_path, tmp_path, monkeypatch
+    ):
+        # Criterion 9's dimensions, as a two-stream run; the pose stream's GRU
+        # is the acceptance suite's 3 x 64.  Under "pose" the RGB stream runs
+        # gru_scan, under "both" attend_scan.
+        monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0, 1})
+        scans, helpers = [], []
+        step_gemms, two_cpus = T._step_gemms, T.TwoCpus
+
+        def counted_step_gemms(B, H):
+            scans.append((B, H))
+            return step_gemms(B, H)
+
+        class Counted(two_cpus):
+            def __enter__(self):
+                helpers.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(T, "_step_gemms", counted_step_gemms)
+        monkeypatch.setattr(T, "TwoCpus", Counted)
+        run_train(tiny_config(
+            tiny_dataset_path, variant="two_stream", conditioning=conditioning, use_temporal=True,
+            rgb_hidden=16, attn_hidden=16, pose_hidden=64, pose_layers=3, dropout=0.5, out_dir=str(tmp_path / "run"),
+        ))
+        assert {H for _, H in scans} == {16, 64}
+        assert helpers == []
 
     def test_run_train_opens_the_dataset_file_once(self, tiny_dataset_path, tmp_path, monkeypatch):
         opened = []
