@@ -6,7 +6,6 @@ so the first softmax is exactly uniform.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -289,7 +288,7 @@ def adam_step(state: AdamState, params: dict[str, Tensor], grads: dict[str, np.n
         flat = (p.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1))
         blocks += [(flat, lo) for lo in range(0, g.size, ADAM_BLOCK)]
     coeffs = (state.lr, state.beta1, state.beta2, state.eps, 1.0 - state.beta1**t, 1.0 - state.beta2**t)
-    if sum(g.size for g in grads.values()) < ADAM_THREAD_MIN or len(os.sched_getaffinity(0)) < 2:
+    if sum(g.size for g in grads.values()) < ADAM_THREAD_MIN or T.usable_cpus() < 2:
         _adam_blocks(blocks, coeffs)
     else:
         with T.TwoCpus() as cpus:

@@ -227,7 +227,9 @@ class TwoCpus:
         the right half of C's columns computed on the helper when N is a
         multiple of 16 and M*N*K >= ``MM_SPLIT_MIN`` / 2.  Bitwise equal to
         one whole ``np.matmul``: each column of C goes through the same K
-        loop, in the same micro-kernel, whichever call computes it."""
+        loop, in the same micro-kernel, whichever call computes it.  Others
+        run whole: OpenBLAS can change bits on its small-matrix path (below
+        about 2M multiply-adds) and in its kernel for N mod 8 last columns."""
         m, k = a.shape
         n = b.shape[1]
         if n % 16 or 2 * m * n * k < MM_SPLIT_MIN:
@@ -239,45 +241,40 @@ class TwoCpus:
         return out
 
 
-# GEMMs of at least this many multiply-adds (M*N*K) split C's rows between
-# two CPUs.  Each row of C then goes through the same K loop as in one whole
-# call, so the bits do not change.  Below about 2M multiply-adds OpenBLAS
-# takes a small-matrix path on which they can; a half of one row, which
-# numpy hands to a matrix-vector routine, changes them at any size.  A
-# thread start and join (about 0.1 ms) is under a tenth of the half of
-# such a GEMM that it takes over.  A scan whose gate GEMM (B, H) @ (H, 2H)
-# has this many splits its step GEMMs by columns (``_step_gemms``).
+# A block of GEMMs whose largest has this many multiply-adds (M*N*K) gets a
+# helper (``_gemms``): a thread start and join, about 0.1 ms, is under a
+# tenth of the half of such a GEMM that ``TwoCpus.mm`` hands it.
 MM_SPLIT_MIN = 1 << 26
 
 
-def _mm(a: Array, b: Array, out: Array | None = None) -> Array:
-    """``np.matmul(a, b, out=out)`` for matrices a (M, K) and b (K, N), its
-    bottom rows computed on a helper thread when M*N*K >= ``MM_SPLIT_MIN``,
-    M >= 4 and the process may use more than one CPU.  Bitwise equal to one
-    whole ``np.matmul``."""
-    m, k = a.shape
-    n = b.shape[1]
-    if m < 4 or m * n * k < MM_SPLIT_MIN or len(os.sched_getaffinity(0)) < 2:
-        return np.matmul(a, b, out=out)
-    if out is None:
-        out = np.empty((m, n), np.result_type(a, b))
-    h = m // 2
-    with TwoCpus() as cpus:
-        cpus.run(lambda: np.matmul(a[:h], b, out=out[:h]), lambda: np.matmul(a[h:], b, out=out[h:]))
-    return out
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
 
 
 @contextlib.contextmanager
-def _step_gemms(B: int, H: int):
-    """The GEMM a scan of batch B and state size H runs its steps with:
-    ``TwoCpus.mm`` on one helper kept for the whole scan when the gate GEMM
-    (B, H) @ (H, 2H) has at least ``MM_SPLIT_MIN`` multiply-adds and the
-    process may use more than one CPU, else ``np.matmul``."""
-    if B * 2 * H * H < MM_SPLIT_MIN or len(os.sched_getaffinity(0)) < 2:
+def _gemms(m: int, k: int, n: int):
+    """The GEMM to run a block of GEMMs with, the largest of them (m, k) @
+    (k, n): ``TwoCpus.mm`` on one helper kept for the block when m*k*n >=
+    ``MM_SPLIT_MIN`` and the process may use more than one CPU, else
+    ``np.matmul``."""
+    if m * k * n < MM_SPLIT_MIN or usable_cpus() < 2:
         yield np.matmul
         return
     with TwoCpus() as cpus:
         yield cpus.mm
+
+
+def _mm(a: Array, b: Array, out: Array | None = None) -> Array:
+    """``np.matmul(a, b, out=out)`` for matrices a (M, K) and b (K, N), as
+    one GEMM block (``_gemms``).  Below ``MM_SPLIT_MIN`` it is one size test
+    and ``np.matmul``: the acceptance scale calls it thousands of times."""
+    m, k = a.shape
+    n = b.shape[1]
+    if m * k * n < MM_SPLIT_MIN:
+        return np.matmul(a, b, out=out)
+    with _gemms(m, k, n) as mm:
+        return mm(a, b, out=out)
 
 
 def _check_same_shape(a: Array, b: Array, op: str) -> None:
@@ -542,7 +539,7 @@ def _gru_step(
     h: Array, xp_t: Array, U_zrT: Array, U_cT: Array, zr_t: Array, c_t: Array, h_t: Array, mm: Callable
 ) -> None:
     """One GRU step from state h (B, H) on a projected input xp_t (B, 3H),
-    its GEMMs run by ``mm`` (``_step_gemms``).
+    its GEMMs run by ``mm`` (``_gemms``).
 
     Writes the z, r gates into zr_t (B, 2H), the candidate into c_t (B, H)
     and the new state into h_t (B, H).  Floating-point addition commutes, so
@@ -582,11 +579,12 @@ def _gru_step_back(
 
 def _gru_dU(d_rows: Array, h_rows: Array, rh_rows: Array) -> Array:
     """Recurrent weight gradient (3H, H) from the rows of d xp (n, 3H), of the
-    states the steps started from (n, H) and of r * h (n, H)."""
-    H = h_rows.shape[1]
+    states the steps started from (n, H) and of r * h (n, H), in one block."""
+    n, H = h_rows.shape
     dU = np.empty((3 * H, H))
-    _mm(d_rows[:, : 2 * H].T, h_rows, out=dU[: 2 * H])
-    _mm(d_rows[:, 2 * H :].T, rh_rows, out=dU[2 * H :])
+    with _gemms(2 * H, n, H) as mm:
+        mm(d_rows[:, : 2 * H].T, h_rows, out=dU[: 2 * H])
+        mm(d_rows[:, 2 * H :].T, rh_rows, out=dU[2 * H :])
     return dU
 
 
@@ -623,7 +621,7 @@ def gru_scan(xp: Tensor, U: Tensor, h0: Tensor) -> Tensor:
     c = np.empty((n, B, H))
     hs = np.empty((B, n, H))
     h = hd
-    with _step_gemms(B, H) as mm:
+    with _gemms(B, H, 2 * H) as mm:
         for t in range(n):
             _gru_step(h, xd[:, t], U_zrT, U_cT, zr[t], c[t], hs[:, t], mm)
             h = hs[:, t]
@@ -633,7 +631,7 @@ def gru_scan(xp: Tensor, U: Tensor, h0: Tensor) -> Tensor:
         if swept[0] is not g:
             dxp = np.empty((B, n, 3 * H))
             dh = np.zeros((B, H))
-            with _step_gemms(B, H) as mm:
+            with _gemms(B, H, 2 * H) as mm:
                 for t in reversed(range(n)):
                     dh += g[:, t]
                     _gru_step_back(dh, zr[t], c[t], hs[:, t - 1] if t else hd, U_zr, U_c, dxp[:, t], mm)
@@ -734,7 +732,7 @@ def attend_scan(
     ctxs: list[Array] = []  # the GRU inputs
     zrs: list[Array] = []  # the GRU gates
     cs: list[Array] = []  # the GRU candidates
-    with _step_gemms(B, H) as mm:
+    with _gemms(B, H, 2 * H) as mm:
         for t in range(n):
             h = hs[t]
             x = h if pose is None else np.concatenate((pose.data[:, t], h), axis=1)
@@ -775,7 +773,7 @@ def attend_scan(
             da, dl, dxp = np.empty((n, B, A)), np.empty((n, B, K)), np.empty((n, B, 3 * H))
             dh = np.zeros((B, H))
             W0h = W0d[:, P:]  # the columns that read the state
-            with _step_gemms(B, H) as mm:
+            with _gemms(B, H, 2 * H) as mm:
                 for t in reversed(range(n)):
                     dh += g[:, t]
                     _gru_step_back(dh, zrs[t], cs[t], hs[t], U_zr, U_c, dxp[t], mm)

@@ -32,7 +32,7 @@ from .data import (  # noqa: F401
 from .model import CONDITIONINGS, PoseStream, RgbStream, WindowBatch, fuse_logits
 from .nn import AdamState, adam_step, collect_grads, zero_grads
 from .pose import eval_window_starts, sample_window, window_indices
-from .tensor import NumericError, Tape
+from .tensor import NumericError, Tape, usable_cpus
 
 CONFIG_VERSION = 1
 
@@ -416,7 +416,7 @@ def blas_setup() -> dict:
         "blas_threads": _openblas_threads(),
         "thread_env": {var: os.environ.get(var) for var in THREAD_ENV},
         "numpy_loaded_before_pin": NUMPY_LOADED_BEFORE_PIN,
-        "cpus": len(os.sched_getaffinity(0)),
+        "cpus": usable_cpus(),
     }
 
 

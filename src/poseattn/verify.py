@@ -9,7 +9,6 @@ wherever it runs.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -18,7 +17,7 @@ import numpy as np
 
 from .gradcheck import grad_check_params
 from .model import CONDITIONINGS, PoseStream, RgbStream, WindowBatch
-from .tensor import Tensor
+from .tensor import Tensor, usable_cpus
 from .training import ModelDims, RunConfig, build_pose_stream, build_rgb_stream
 
 
@@ -176,7 +175,7 @@ def _check_stream(
 def gradcheck_workers() -> int:
     """Processes ``run_gradcheck`` uses: the CPUs this process may run on,
     at most one per cell."""
-    return min(len(os.sched_getaffinity(0)), len(CELLS))
+    return min(usable_cpus(), len(CELLS))
 
 
 def run_gradcheck(

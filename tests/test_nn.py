@@ -251,7 +251,7 @@ class TestAdam:
     def test_steps_bitwise_equal_to_reference_formula(self, monkeypatch):
         # "big" spans several blocks and a remainder: below the helper
         # thread's size, then above it with two CPUs to use.
-        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(T, "usable_cpus", lambda: 2)
         threads = set()
         blocks = nn._adam_blocks
         monkeypatch.setattr(
@@ -299,7 +299,7 @@ class TestAdam:
         monkeypatch.setattr(nn, "ADAM_THREAD_MIN", 10 * n)
         serial = [train(i) for i in range(4)]
         monkeypatch.setattr(nn, "ADAM_THREAD_MIN", n)
-        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(T, "usable_cpus", lambda: 2)
         results: dict = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -336,7 +336,7 @@ class TestAdam:
             assert all(np.array_equal(old[k], new[k]) for k in old)
 
     def test_an_error_in_the_helpers_half_is_raised_after_the_join(self, monkeypatch):
-        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(T, "usable_cpus", lambda: 2)
         caller = threading.current_thread()
         blocks = nn._adam_blocks
 

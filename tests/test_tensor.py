@@ -9,6 +9,7 @@ import pytest
 from poseattn import tensor as T
 from poseattn import verify
 from poseattn.gradcheck import GradCheckResult, grad_check_params
+from poseattn.model import PoseStream, WindowBatch
 from poseattn.nn import AdamState, adam_step
 from poseattn.tensor import GraphError, NumericError, ShapeError, Tape, Tensor
 
@@ -473,31 +474,6 @@ def test_no_gradient_of_the_gradcheck_cells_shares_memory(monkeypatch):
     assert problems == []
 
 
-# Every GEMM that a paper-scale RGB training step or eval forward (features
-# 2048, GRU 1024, attention MLP 256, batch 32 x clip 20, 640 frame rows;
-# ``pose`` and ``both`` conditioning) splits, in its memory layout: x @ W.T in
-# linear's forward (eval batches of 320 and 120 rows too, and an odd count),
-# g @ W and g.T @ x in its VJPs, the attention's first weight gradient in
-# attend_scan (the state and the pose, 1024 + 144 columns), and _gru_dU's
-# two GEMMs over column slices of d xp into row blocks of dU.  Then the
-# smallest size that splits.
-_SPLIT_GEMMS = {
-    "linear x @ W.T": lambda r: (r.normal(size=(640, 2048)), r.normal(size=(3072, 2048)).T, None),
-    "linear x @ W.T, eval rows": lambda r: (r.normal(size=(320, 2048)), r.normal(size=(3072, 2048)).T, None),
-    "linear x @ W.T, odd rows": lambda r: (r.normal(size=(117, 2048)), r.normal(size=(3072, 2048)).T, None),
-    "linear vjp_x g @ W": lambda r: (r.normal(size=(640, 3072)), r.normal(size=(3072, 2048)), None),
-    "linear vjp_W g.T @ x": lambda r: (r.normal(size=(640, 3072)).T, r.normal(size=(640, 2048)), None),
-    "attend_scan vjp_W0": lambda r: (r.normal(size=(580, 256)).T, r.normal(size=(580, 1168)), None),
-    "_gru_dU z, r rows": lambda r: (
-        r.normal(size=(640, 3072))[:, :2048].T, r.normal(size=(640, 1024)), np.empty((3072, 1024))[:2048]
-    ),
-    "_gru_dU c rows": lambda r: (
-        r.normal(size=(640, 3072))[:, 2048:].T, r.normal(size=(640, 1024)), np.empty((3072, 1024))[2048:]
-    ),
-    "smallest split": lambda r: (r.normal(size=(64, 1024)), r.normal(size=(1024, 1024)), None),
-}
-
-
 @pytest.fixture
 def two_cpus(monkeypatch):
     """The process may use two CPUs; counts the helper threads started and
@@ -522,46 +498,66 @@ def _no_helper_left():
     return not any(t.name == "poseattn-helper" for t in threading.enumerate())
 
 
-@pytest.mark.parametrize("name", list(_SPLIT_GEMMS))
-def test_a_split_gemm_is_bitwise_one_matmul(name, two_cpus):
-    a, b, out = _SPLIT_GEMMS[name](np.random.default_rng(zlib.crc32(name.encode())))
-    whole = np.matmul(a, b)
-    got = T._mm(a, b, out=out)
-    assert two_cpus == {"helpers": 1, "jobs": 1}
-    assert out is None or got is out
-    assert got.shape == whole.shape and got.tobytes() == whole.tobytes()
-
-
-def test_a_gemm_below_the_split_size_or_on_one_cpu_runs_whole(two_cpus, monkeypatch):
-    rng = np.random.default_rng(8)
-    a, b = rng.normal(size=(63, 1024)), rng.normal(size=(1024, 1024))
-    assert a.shape[0] * 1024 * 1024 < T.MM_SPLIT_MIN
-    assert np.array_equal(T._mm(a, b), a @ b)
-    # Above the size, but a half of one row would be a matrix-vector
-    # product, whose bits differ from the GEMM's.
-    for m in (2, 3):
-        rows, wide = rng.normal(size=(m, 8192)), rng.normal(size=(8192, 4096))
-        assert m * 8192 * 4096 >= T.MM_SPLIT_MIN
-        assert T._mm(rows, wide).tobytes() == (rows @ wide).tobytes()
-    monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0})
-    a = rng.normal(size=(640, 1024))
-    assert np.array_equal(T._mm(a, b), a @ b)
-    assert two_cpus == {"helpers": 0, "jobs": 0}
-
-
-# Every per-step GEMM that a paper-scale scan splits (GRU 1024, features
-# 2048), in its memory layout: gru_scan reads the state as a strided row of
-# its (B, T, H) buffer, writes the gates and candidate into time-major
-# buffers and takes d xp as a strided row of (B, T, 3H); attend_scan keeps
-# each frame's arrays apart and d xp time-major, and adds the ctx @ W.T and
-# d xp @ W GEMMs of the ``hidden`` and ``both`` conditionings.  U.T and W.T
-# are views.
+# Every GEMM that a paper-scale RGB training step, eval forward or gradcheck
+# (features 2048, GRU 1024, attention MLP 256, batch 32 x clip 20, 640 frame
+# rows) splits, in its memory layout.  Weight GEMMs: x @ W.T in linear's
+# forward (eval batches of 320 rows, an odd count, and the gradcheck's 2
+# windows of 40 rows), g @ W and g.T @ x in its VJPs, over 2048 features a
+# frame or ``concat``'s 4 x 2048 (at fewer rows, to save time); attend_scan's
+# first weight gradient, which reads the state (``hidden``, 1024 columns) or
+# the state and the pose (``both``, 1024 + 144); _gru_dU's two GEMMs over
+# column slices of d xp into row blocks of dU; one to three rows; the
+# smallest GEMM that splits.
+# Step GEMMs, at a training batch (32), an eval chunk (16 sequences of 5
+# windows) and the eval chunk of a 7-sequence tail: gru_scan reads the state
+# as a strided row of its (B, T, H) buffer, writes the gates and candidate
+# into time-major buffers and takes d xp as a strided row of (B, T, 3H);
+# attend_scan keeps each frame's arrays apart and d xp time-major, and adds
+# the ctx @ W.T and d xp @ W GEMMs of the ``hidden`` and ``both``
+# conditionings.  U.T and W.T are views.
 _T, _H, _D = 3, 1024, 2048
 
 
 def _U(r):
     return r.normal(size=(3 * _H, _H))
 
+
+def _linear(rows, n_in):
+    # Uniform draws: normal ones of the 8192-wide operands take most of the
+    # test's time.
+    return {
+        f"linear x @ W.T, {rows} rows, {n_in} in": lambda r: (
+            r.random((rows, n_in)) - 0.5, (r.random((3 * _H, n_in)) - 0.5).T, None
+        ),
+        f"linear vjp_x g @ W, {rows} rows, {n_in} in": lambda r: (
+            r.random((rows, 3 * _H)) - 0.5, r.random((3 * _H, n_in)) - 0.5, None
+        ),
+        f"linear vjp_W g.T @ x, {rows} rows, {n_in} in": lambda r: (
+            (r.random((rows, 3 * _H)) - 0.5).T, r.random((rows, n_in)) - 0.5, None
+        ),
+    }
+
+
+_WEIGHT_GEMMS = {
+    **_linear(640, _D),
+    **_linear(160, 4 * _D),
+    "linear x @ W.T, eval rows": lambda r: (r.normal(size=(320, _D)), r.normal(size=(3 * _H, _D)).T, None),
+    "linear x @ W.T, odd rows": lambda r: (r.normal(size=(117, _D)), r.normal(size=(3 * _H, _D)).T, None),
+    "linear x @ W.T, gradcheck rows": lambda r: (r.normal(size=(40, _D)), r.normal(size=(3 * _H, _D)).T, None),
+    "attend_scan vjp_W0, hidden": lambda r: (r.normal(size=(640, 256)).T, r.normal(size=(640, _H)), None),
+    "attend_scan vjp_W0, both": lambda r: (r.normal(size=(580, 256)).T, r.normal(size=(580, _H + 144)), None),
+    "_gru_dU z, r rows": lambda r: (
+        r.normal(size=(640, 3 * _H))[:, : 2 * _H].T, r.normal(size=(640, _H)), np.empty((3 * _H, _H))[: 2 * _H]
+    ),
+    "_gru_dU c rows": lambda r: (
+        r.normal(size=(640, 3 * _H))[:, 2 * _H :].T, r.normal(size=(640, _H)), np.empty((3 * _H, _H))[2 * _H :]
+    ),
+    **{
+        f"{m} rows @ (8192, 4096)": lambda r, m=m: (r.random((m, 8192)) - 0.5, r.random((8192, 4096)) - 0.5, None)
+        for m in (1, 2, 3)
+    },
+    "smallest split": lambda r: (r.normal(size=(32, 1024)), r.normal(size=(1024, 1024)), None),
+}
 
 _STEP_GEMMS = {
     "gru_scan h @ U_zr.T": lambda r, B: (
@@ -577,19 +573,66 @@ _STEP_GEMMS = {
     "attend_scan dxp @ W": lambda r, B: (r.normal(size=(_T, B, 3 * _H))[1], r.normal(size=(3 * _H, _D)), None),
 }
 
+_SPLIT_GEMMS = {
+    **_WEIGHT_GEMMS,
+    **{
+        f"{name}, B {B}": lambda r, make=make, B=B: make(r, B)
+        for name, make in _STEP_GEMMS.items()
+        for B in (32, 80, 35)
+    },
+}
 
-# B: a training batch, an eval chunk (16 sequences of 5 windows) and the
-# eval chunk of a 7-sequence tail.
-@pytest.mark.parametrize("B", [32, 80, 35])
-@pytest.mark.parametrize("name", list(_STEP_GEMMS))
-def test_a_column_split_step_gemm_is_bitwise_one_matmul(name, B, two_cpus):
-    a, b, out = _STEP_GEMMS[name](np.random.default_rng(zlib.crc32(f"{name} {B}".encode())), B)
+
+@pytest.mark.parametrize("name", list(_SPLIT_GEMMS))
+def test_a_column_split_gemm_is_bitwise_one_matmul(name, two_cpus):
+    a, b, out = _SPLIT_GEMMS[name](np.random.default_rng(zlib.crc32(name.encode())))
     whole = np.matmul(a, b)
     with T.TwoCpus() as cpus:
         got = cpus.mm(a, b, out=out)
     assert two_cpus == {"helpers": 1, "jobs": 1}
     assert out is None or got is out
     assert got.shape == whole.shape and got.tobytes() == whole.tobytes()
+
+
+def test_mm_opens_a_helper_from_the_split_size_on_two_cpus(two_cpus, monkeypatch):
+    rng = np.random.default_rng(8)
+    a, b = rng.normal(size=(64, 1024)), rng.normal(size=(1024, 1024))
+    assert 64 * 1024 * 1024 == T.MM_SPLIT_MIN
+    assert T._mm(a[:63], b).tobytes() == (a[:63] @ b).tobytes()
+    assert two_cpus == {"helpers": 0, "jobs": 0}
+    assert T._mm(a, b).tobytes() == (a @ b).tobytes()
+    assert two_cpus == {"helpers": 1, "jobs": 1}
+    monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0})
+    a = rng.normal(size=(640, 1024))
+    assert T._mm(a, b).tobytes() == (a @ b).tobytes()
+    assert two_cpus == {"helpers": 1, "jobs": 1}
+
+
+def test_the_pose_streams_layer_gemm_runs_whole(two_cpus):
+    # The paper-scale pose stream's eval chunk through a GRU 150 layer: 80
+    # windows of 20 frames @ W.T, W (450, 150).  Above MM_SPLIT_MIN, but no
+    # split of 450 columns keeps the bits, and a split of its rows changed
+    # columns 448-449.
+    rng = np.random.default_rng(11)
+    x, W = rng.normal(size=(1600, 150)), rng.normal(size=(450, 150))
+    assert 1600 * 150 * 450 >= T.MM_SPLIT_MIN
+    assert T._mm(x, W.T).tobytes() == np.matmul(x, W.T).tobytes()
+    assert two_cpus == {"helpers": 1, "jobs": 0}
+
+
+def test_paper_scale_pose_stream_eval_logits_do_not_depend_on_the_cpu_count(two_cpus, monkeypatch):
+    # Pose dim 144 (24 joints), GRU 3 x 150, an eval chunk of 80 windows.
+    rng = np.random.default_rng(12)
+    stream = PoseStream(rng, pose_dim=144, hidden_dim=150, n_layers=3, n_classes=10)
+    frames = np.arange(1600).reshape(80, 20)
+    batch = WindowBatch(
+        pose_raw=rng.normal(size=(1600, 144)), pose_aug=np.zeros((1600, 432)), motion=np.zeros((1600, 2)),
+        hand_mask=np.ones((1600, 4)), frames=frames, labels=np.zeros(80, dtype=np.int64),
+    )
+    two = stream.forward(batch).logits.data
+    monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0})
+    one = stream.forward(batch).logits.data
+    assert two.tobytes() == one.tobytes()
 
 
 def _paper_scans(rng):
@@ -616,13 +659,13 @@ def _paper_scans(rng):
 def test_paper_scale_scans_split_their_steps_with_the_same_bits(two_cpus, monkeypatch):
     two = _paper_scans(np.random.default_rng(26))
     # A forward and a sweep per scan, each with one helper for all of its
-    # steps: 2 GEMMs per GRU step and 3 per attend_scan frame.  Five more
-    # helpers run one job each: the weight gradients that _mm splits by rows
-    # (both scans' dU halves and attend_scan's dW).
-    assert two_cpus == {"helpers": 4 + 5, "jobs": 3 * (2 + 2 + 3 + 3) + 5}
+    # steps: 2 GEMMs per GRU step and 3 per attend_scan frame.  Three more
+    # helpers split the weight gradients: one per scan for both halves of
+    # dU, and one for attend_scan's dW.
+    assert two_cpus == {"helpers": 4 + 3, "jobs": 3 * (2 + 2 + 3 + 3) + 2 + 2 + 1}
     monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0})
     one = _paper_scans(np.random.default_rng(26))
-    assert two_cpus["helpers"] == 4 + 5
+    assert two_cpus["helpers"] == 4 + 3
     assert [a.tobytes() for a in two] == [a.tobytes() for a in one]
 
 
@@ -636,14 +679,14 @@ def test_paper_scale_scans_split_their_steps_with_the_same_bits(two_cpus, monkey
 ])
 def test_a_scan_below_the_split_size_starts_no_helper(B, H, two_cpus):
     assert B * 2 * H * H < T.MM_SPLIT_MIN
-    with T._step_gemms(B, H) as mm:
+    with T._gemms(B, H, 2 * H) as mm:
         assert mm is np.matmul
     assert two_cpus == {"helpers": 0, "jobs": 0}
 
 
 def test_a_scan_on_one_cpu_starts_no_helper(two_cpus, monkeypatch):
     monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0})
-    with T._step_gemms(80, 1024) as mm:
+    with T._gemms(80, 1024, 2048) as mm:
         assert mm is np.matmul
     assert two_cpus == {"helpers": 0, "jobs": 0}
 
@@ -653,7 +696,7 @@ def test_a_step_gemm_that_could_change_bits_runs_whole_on_the_helper_block(two_c
     # MM_SPLIT_MIN / 4 (a narrow ctx @ W.T): a column split of either could
     # change bits.
     rng = np.random.default_rng(9)
-    with T._step_gemms(32, 1024) as mm:
+    with T._gemms(32, 1024, 2048) as mm:
         for a, b in (
             (rng.normal(size=(32, 1000)), rng.normal(size=(1000, 1000)).T),
             (rng.normal(size=(32, 16)), rng.normal(size=(3072, 16)).T),
@@ -668,17 +711,17 @@ def test_an_error_on_the_helper_thread_is_raised_after_the_join(two_cpus, monkey
 
     def failing(*args, **kwargs):
         if threading.current_thread() is not caller:
-            raise MemoryError("helper rows")
+            raise MemoryError("helper columns")
         return matmul(*args, **kwargs)
 
     monkeypatch.setattr(T.np, "matmul", failing)
-    with pytest.raises(MemoryError, match="helper rows"):
+    with pytest.raises(MemoryError, match="helper columns"):
         T._mm(np.ones((64, 1024)), np.ones((1024, 1024)))
     assert two_cpus == {"helpers": 1, "jobs": 1}
     assert _no_helper_left()
     rng = np.random.default_rng(10)
     xp, U, h0 = rng.normal(size=(32, 3, 3 * 1024)), rng.normal(size=(3 * 1024, 1024)), np.zeros((32, 1024))
-    with pytest.raises(MemoryError, match="helper rows"):
+    with pytest.raises(MemoryError, match="helper columns"):
         T.gru_scan(Tensor(xp), Tensor(U), Tensor(h0))
     assert two_cpus == {"helpers": 2, "jobs": 2}
     assert _no_helper_left()

@@ -320,25 +320,28 @@ class TestTraining:
         # is the acceptance suite's 3 x 64.  Under "pose" the RGB stream runs
         # gru_scan, under "both" attend_scan.
         monkeypatch.setattr(T.os, "sched_getaffinity", lambda pid: {0, 1})
-        scans, helpers = [], []
-        step_gemms, two_cpus = T._step_gemms, T.TwoCpus
+        blocks, helpers = [], []
+        gemms, two_cpus = T._gemms, T.TwoCpus
 
-        def counted_step_gemms(B, H):
-            scans.append((B, H))
-            return step_gemms(B, H)
+        def counted_gemms(m, k, n):
+            blocks.append((m, k, n))
+            return gemms(m, k, n)
 
         class Counted(two_cpus):
             def __enter__(self):
                 helpers.append(self)
                 return super().__enter__()
 
-        monkeypatch.setattr(T, "_step_gemms", counted_step_gemms)
+        monkeypatch.setattr(T, "_gemms", counted_gemms)
         monkeypatch.setattr(T, "TwoCpus", Counted)
         run_train(tiny_config(
             tiny_dataset_path, variant="two_stream", conditioning=conditioning, use_temporal=True,
             rgb_hidden=16, attn_hidden=16, pose_hidden=64, pose_layers=3, dropout=0.5, out_dir=str(tmp_path / "run"),
         ))
-        assert {H for _, H in scans} == {16, 64}
+        # Both streams' scans, whose blocks are (B, H) @ (H, 2H), reached the
+        # gate, and no block reached the split size.
+        assert {16, 64} <= {k for _, k, n in blocks if n == 2 * k}
+        assert all(m * k * n < T.MM_SPLIT_MIN for m, k, n in blocks)
         assert helpers == []
 
     def test_run_train_opens_the_dataset_file_once(self, tiny_dataset_path, tmp_path, monkeypatch):
