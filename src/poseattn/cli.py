@@ -65,19 +65,10 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     ta = p.add_mutually_exclusive_group()
     ta.add_argument("--temporal", dest="use_temporal", action="store_true", default=None)
     ta.add_argument("--no-temporal", dest="use_temporal", action="store_false", default=None)
-    p.add_argument("--clip-len", type=int)
-    p.add_argument("--feat-dim", type=int)
-    p.add_argument("--rgb-hidden", type=int)
-    p.add_argument("--pose-hidden", type=int)
-    p.add_argument("--pose-layers", type=int)
-    p.add_argument("--attn-hidden", type=int)
-    p.add_argument("--temporal-hidden", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--seed", type=int)
+    # One flag per number in the config, in field order: --clip-len ... --seed.
+    for f in fields(RunConfig):
+        if type(f.default) in (int, float) and f.name != "config_version":
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default))
 
 
 def _add_checkpoint_flags(p: argparse.ArgumentParser) -> None:
@@ -108,7 +99,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    dataset = generate(SyntheticSpec(**_given(args, SyntheticSpec)))  # flags not given keep their defaults
+    spec = SyntheticSpec(**_given(args, SyntheticSpec))  # flags not given keep their defaults
+    try:
+        spec.validate()
+    except ValueError as e:
+        raise ConfigError(f"synth: {e}") from None
+    dataset = generate(spec)
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(out, dataset)

@@ -111,59 +111,34 @@ def context_vector(v: Tensor, p: Tensor) -> Tensor:
 
 
 class RgbStream:
-    """Recurrent classifier over attention-integrated hand glimpse features."""
+    """Recurrent classifier over attention-integrated hand glimpse features, with
+    the settings of ``config``, a ``training.RunConfig``, and the sizes of
+    ``dims``, a ``training.ModelDims``."""
 
-    def __init__(
-        self,
-        rng: np.random.Generator | None,
-        conditioning: str,
-        use_temporal: bool,
-        n_frames: int,
-        feat_dim: int,
-        pose_aug_dim: int,
-        hidden_dim: int,
-        n_classes: int,
-        attn_hidden: int = 256,
-        temporal_hidden: int = 32,
-        pooling: str = "average",
-        dropout_rate: float = 0.5,
-        mask_absent: bool = False,
-    ):
-        if conditioning not in CONDITIONINGS:
-            raise ValueError(f"unknown conditioning {conditioning!r}")
-        if pooling not in ("average", "last"):
-            raise ValueError(f"unknown pooling {pooling!r}")
-        self.conditioning = conditioning
-        self.use_temporal = use_temporal
-        self.n_frames = n_frames
-        self.feat_dim = feat_dim
-        self.pose_aug_dim = pose_aug_dim
-        self.hidden_dim = hidden_dim
-        self.n_classes = n_classes
-        self.pooling = pooling
-        self.dropout_rate = dropout_rate
-        self.mask_absent = mask_absent
+    def __init__(self, config, dims, rng: np.random.Generator | None):
+        self.conditioning = cond = config.conditioning
+        self.use_temporal = config.use_temporal
+        self.n_frames = dims.clip_len
+        self.feat_dim = dims.feat_dim
+        self.n_classes = dims.n_classes
+        self.pooling = config.pooling
+        self.dropout_rate = config.dropout
+        self.mask_absent = config.mask_absent
 
         self.attn: Mlp | None = None
-        if conditioning in ATTENTION_CONDITIONINGS:
-            cond_dim = (pose_aug_dim if conditioning in POSE_CONDITIONINGS else 0) + (
-                hidden_dim if conditioning in HIDDEN_CONDITIONINGS else 0
-            )
+        if cond in ATTENTION_CONDITIONINGS:
+            cond_dim = 3 * dims.pose_dim if cond in POSE_CONDITIONINGS else 0
+            cond_dim += config.rgb_hidden if cond in HIDDEN_CONDITIONINGS else 0
             # Zero output layer: the initial attention distribution is exactly uniform.
-            self.attn = mlp_init(
-                rng, [cond_dim, attn_hidden, N_HAND_SLOTS], zero_output=True
-            )
+            self.attn = mlp_init(rng, [cond_dim, config.attn_hidden, N_HAND_SLOTS], zero_output=True)
 
-        gru_input = feat_dim * N_HAND_SLOTS if conditioning == "concat" else feat_dim
-        self.gru = gru_init(rng, gru_input, hidden_dim)
+        self.gru = gru_init(rng, self.feat_dim * N_HAND_SLOTS if cond == "concat" else self.feat_dim, config.rgb_hidden)
 
         self.temporal: Mlp | None = None
-        if use_temporal:
-            self.temporal = mlp_init(
-                rng, [2 * n_frames, temporal_hidden, n_frames], zero_output=True
-            )
+        if self.use_temporal:
+            self.temporal = mlp_init(rng, [2 * self.n_frames, config.temporal_hidden, self.n_frames], zero_output=True)
 
-        self.head = linear_init(rng, hidden_dim, n_classes)
+        self.head = linear_init(rng, config.rgb_hidden, self.n_classes)
 
     def parameters(self) -> dict[str, Tensor]:
         params: dict[str, Tensor] = {}
@@ -299,25 +274,15 @@ class RgbStream:
 
 
 class PoseStream:
-    """Stacked-GRU classifier over raw pose vectors with per-step supervision."""
+    """Stacked-GRU classifier over raw pose vectors with per-step supervision;
+    built as ``RgbStream`` is."""
 
-    def __init__(
-        self,
-        rng: np.random.Generator | None,
-        pose_dim: int,
-        hidden_dim: int,
-        n_layers: int,
-        n_classes: int,
-        dropout_rate: float = 0.5,
-        stack_dropout: bool = True,
-    ):
-        self.pose_dim = pose_dim
-        self.hidden_dim = hidden_dim
-        self.n_classes = n_classes
-        self.dropout_rate = dropout_rate
-        self.stack_dropout = stack_dropout
-        self.stack: GruStack = gru_stack_init(rng, pose_dim, hidden_dim, n_layers)
-        self.head: Linear = linear_init(rng, hidden_dim, n_classes)
+    def __init__(self, config, dims, rng: np.random.Generator | None):
+        self.n_classes = dims.n_classes
+        # Dropout between the stacked layers, when the config asks for it.
+        self.dropout_rate = config.dropout if config.stack_dropout else 0.0
+        self.stack: GruStack = gru_stack_init(rng, dims.pose_dim, config.pose_hidden, config.pose_layers)
+        self.head: Linear = linear_init(rng, config.pose_hidden, self.n_classes)
 
     def parameters(self) -> dict[str, Tensor]:
         return {**self.stack.named("stack"), **self.head.named("head")}
@@ -330,9 +295,8 @@ class PoseStream:
     ) -> StreamOutput:
         if batch.n_frames == 0:
             raise ShapeError("pose stream: empty window")
-        rate = self.dropout_rate if self.stack_dropout else 0.0
         hidden_states = self.stack.forward(
-            Tensor(batch.pose_raw[batch.frames]), dropout_rate=rate, rng=rng, training=training
+            Tensor(batch.pose_raw[batch.frames]), dropout_rate=self.dropout_rate, rng=rng, training=training
         )
         per_step = self.head(hidden_states)
         logits = T.mean_axis(per_step, axis=1)

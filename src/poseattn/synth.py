@@ -139,6 +139,20 @@ class SyntheticSpec:
             raise ValueError("sequence shorter than the clip length")
         if self.kind != "active_hand" and L - self.event_width < 2:
             raise ValueError("sequence too short to place an event window")
+        amounts = (self.noise, self.distractor, self.template_scale, self.phase_scale, self.motion_amp,
+                   self.slot_motion_amp, *self.kind_mix)
+        if not np.isfinite(amounts).all():
+            raise ValueError(f"noise, scales, amplitudes and kind mix must be finite, got {amounts}")
+        if min(self.counts) < 0:
+            raise ValueError(f"split counts must be >= 0, got {self.counts}")
+        if self.noise < 0:
+            raise ValueError(f"noise must be >= 0, got {self.noise}")
+        if self.resolved_fake_events() < 0:
+            raise ValueError(f"fake events must be >= 0, got {self.fake_events}")
+        if min(self.kind_mix) < 0 or sum(self.kind_mix) == 0:
+            raise ValueError(f"kind mix must be fractions >= 0, not all 0, got {self.kind_mix}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def class_templates(spec: SyntheticSpec) -> np.ndarray:

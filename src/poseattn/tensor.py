@@ -222,17 +222,23 @@ class TwoCpus:
         if self._failed:
             raise self._failed.pop()
 
+    @staticmethod
+    def splits(n: int) -> bool:
+        """Whether ``mm`` may split N columns: into halves of a multiple of 8, as
+        OpenBLAS computes a call's N mod 8 last columns in another kernel."""
+        return n % 16 == 0
+
     def mm(self, a: Array, b: Array, out: Array | None = None) -> Array:
         """``np.matmul(a, b, out=out)`` for matrices a (M, K) and b (K, N),
         the right half of C's columns computed on the helper when N is a
-        multiple of 16 and M*N*K >= ``MM_SPLIT_MIN`` / 2.  Bitwise equal to
-        one whole ``np.matmul``: each column of C goes through the same K
-        loop, in the same micro-kernel, whichever call computes it.  Others
-        run whole: OpenBLAS can change bits on its small-matrix path (below
-        about 2M multiply-adds) and in its kernel for N mod 8 last columns."""
+        multiple of 16 (``splits``) and M*N*K >= ``MM_SPLIT_MIN`` / 2.
+        Bitwise equal to one whole ``np.matmul``: each column of C goes
+        through the same K loop, in the same micro-kernel, whichever call
+        computes it.  Others run whole: OpenBLAS can change bits on its
+        small-matrix path (below about 2M multiply-adds)."""
         m, k = a.shape
         n = b.shape[1]
-        if n % 16 or 2 * m * n * k < MM_SPLIT_MIN:
+        if not self.splits(n) or 2 * m * n * k < MM_SPLIT_MIN:
             return np.matmul(a, b, out=out)
         if out is None:
             out = np.empty((m, n), np.result_type(a, b))
@@ -266,12 +272,12 @@ def _gemms(m: int, k: int, n: int):
 
 
 def _mm(a: Array, b: Array, out: Array | None = None) -> Array:
-    """``np.matmul(a, b, out=out)`` for matrices a (M, K) and b (K, N), as
-    one GEMM block (``_gemms``).  Below ``MM_SPLIT_MIN`` it is one size test
-    and ``np.matmul``: the acceptance scale calls it thousands of times."""
+    """``np.matmul(a, b, out=out)`` for matrices a (M, K) and b (K, N), as one
+    GEMM block (``_gemms``).  Below ``MM_SPLIT_MIN``, or with N columns that
+    ``TwoCpus.splits`` keeps whole, it is ``np.matmul`` and opens no helper."""
     m, k = a.shape
     n = b.shape[1]
-    if m * k * n < MM_SPLIT_MIN:
+    if m * k * n < MM_SPLIT_MIN or not TwoCpus.splits(n):
         return np.matmul(a, b, out=out)
     with _gemms(m, k, n) as mm:
         return mm(a, b, out=out)

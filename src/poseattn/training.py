@@ -201,34 +201,8 @@ class ModelDims:
         )
 
 
-def build_rgb_stream(config: RunConfig, dims: ModelDims, rng: np.random.Generator | None) -> RgbStream:
-    return RgbStream(
-        rng=rng,
-        conditioning=config.conditioning,
-        use_temporal=config.use_temporal,
-        n_frames=dims.clip_len,
-        feat_dim=dims.feat_dim,
-        pose_aug_dim=3 * dims.pose_dim,
-        hidden_dim=config.rgb_hidden,
-        n_classes=dims.n_classes,
-        attn_hidden=config.attn_hidden,
-        temporal_hidden=config.temporal_hidden,
-        pooling=config.pooling,
-        dropout_rate=config.dropout,
-        mask_absent=config.mask_absent,
-    )
-
-
-def build_pose_stream(config: RunConfig, dims: ModelDims, rng: np.random.Generator | None) -> PoseStream:
-    return PoseStream(
-        rng=rng,
-        pose_dim=dims.pose_dim,
-        hidden_dim=config.pose_hidden,
-        n_layers=config.pose_layers,
-        n_classes=dims.n_classes,
-        dropout_rate=config.dropout,
-        stack_dropout=config.stack_dropout,
-    )
+# The benchmark (perfbench/workloads.py) builds RGB streams by this name.
+build_rgb_stream = RgbStream
 
 
 def _rng(seed: int, *tags: int) -> np.random.Generator:
@@ -245,8 +219,8 @@ EVAL_CHUNK = 16
 def _fresh_stream(name: str, config: RunConfig, dims: ModelDims, drawn: bool = True):
     """Stream ``name`` ("pose" or "rgb") at its seeded initial parameters, or
     with ``drawn`` False at zeros: a skeleton for a checkpoint to fill."""
-    build = build_pose_stream if name == "pose" else build_rgb_stream
-    return build(config, dims, _rng(config.seed, _STREAM_TAG[name], 0) if drawn else None)
+    cls = PoseStream if name == "pose" else RgbStream
+    return cls(config, dims, _rng(config.seed, _STREAM_TAG[name], 0) if drawn else None)
 
 
 def evaluate(

@@ -18,7 +18,7 @@ import numpy as np
 from .gradcheck import grad_check_params
 from .model import CONDITIONINGS, PoseStream, RgbStream, WindowBatch
 from .tensor import Tensor, usable_cpus
-from .training import ModelDims, RunConfig, build_pose_stream, build_rgb_stream
+from .training import ModelDims, RunConfig
 
 
 @dataclass
@@ -119,17 +119,12 @@ def _stream(cell: tuple[str, bool] | None, dims: TinyDims, rng: np.random.Genera
     built as training builds it."""
     conditioning, use_temporal = cell or ("pose", True)
     config = RunConfig(
-        conditioning=conditioning,
-        use_temporal=use_temporal,
-        rgb_hidden=dims.rgb_hidden,
-        pose_hidden=dims.pose_hidden,
-        attn_hidden=dims.attn_hidden,
-        temporal_hidden=dims.temporal_hidden,
-        dropout=0.0,
+        conditioning=conditioning, use_temporal=use_temporal, rgb_hidden=dims.rgb_hidden,
+        pose_hidden=dims.pose_hidden, attn_hidden=dims.attn_hidden, temporal_hidden=dims.temporal_hidden, dropout=0.0,
     )
     model_dims = ModelDims(dims.pose_dim, dims.n_classes, dims.feat_dim, clip_len=dims.n_frames)
-    build = build_pose_stream if cell is None else build_rgb_stream
-    return build(config, model_dims, rng)
+    cls = PoseStream if cell is None else RgbStream
+    return cls(config, model_dims, rng)
 
 
 def _n_params(cell: tuple[str, bool] | None, dims: TinyDims) -> int:

@@ -4,7 +4,19 @@ import time
 
 import pytest
 
+from poseattn.training import ModelDims, RunConfig
 from poseattn.verify import TinyDims, run_gradcheck
+
+
+def build_stream(cls, rng, base: dict, **overrides):
+    """A ``cls`` (``RgbStream`` or ``PoseStream``) built as training builds
+    it, from the fields of ``base`` with ``overrides`` laid over them: the
+    dataset's ``pose_dim`` and ``n_classes``, and ``RunConfig`` fields, whose
+    ``feat_dim`` and ``clip_len`` also size the stream (``ModelDims``)."""
+    fields = {**base, **overrides}
+    pose_dim, n_classes = fields.pop("pose_dim"), fields.pop("n_classes")
+    config = RunConfig(**fields)
+    return cls(config, ModelDims(pose_dim, n_classes, config.feat_dim, config.clip_len), rng)
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import build_stream
 
 from poseattn.ablation import mean_accuracies, run_ablation
 from poseattn.cli import main as cli_main
@@ -83,21 +84,10 @@ def test_criterion_1_gradient_exactness(default_gradcheck):
     assert elapsed < 120.0
 
 
-def _attention_stream(rng, cond, ta, n_frames=10):
-    stream = RgbStream(
-        rng=rng,
-        conditioning=cond,
-        use_temporal=ta,
-        n_frames=n_frames,
-        feat_dim=6,
-        pose_aug_dim=18,
-        hidden_dim=7,
-        n_classes=3,
-        attn_hidden=8,
-        temporal_hidden=5,
-        dropout_rate=0.0,
-    )
-    return stream
+# Features 6, pose 6 (augmented 18), GRU 7, 3 classes, no dropout.
+ATTENTION = dict(
+    pose_dim=6, n_classes=3, clip_len=10, feat_dim=6, rgb_hidden=7, attn_hidden=8, temporal_hidden=5, dropout=0.0
+)
 
 
 def _random_batch(rng, b, t):
@@ -115,7 +105,7 @@ def _random_batch(rng, b, t):
 def test_criterion_2_attention_simplex_invariants():
     t = 10
     for cond in ("hidden", "pose", "both"):
-        stream = _attention_stream(np.random.default_rng(1), cond, ta=True, n_frames=t)
+        stream = build_stream(RgbStream, np.random.default_rng(1), ATTENTION, conditioning=cond, clip_len=t)
         # Randomize every parameter, including the zero-init heads, at a large
         # scale: the simplex property must hold for any parameters.
         shake = np.random.default_rng(2)
@@ -136,7 +126,7 @@ def test_criterion_2_attention_simplex_invariants():
 
     # Equal-attention initialization is exact.
     for cond in ("hidden", "pose", "both"):
-        stream = _attention_stream(np.random.default_rng(4), cond, ta=True, n_frames=t)
+        stream = build_stream(RgbStream, np.random.default_rng(4), ATTENTION, conditioning=cond, clip_len=t)
         out = stream.forward(_random_batch(np.random.default_rng(5), 8, t))
         assert np.array_equal(out.spatial_attention.data, np.full((8, t, 4), 0.25))
         assert np.array_equal(out.temporal_attention.data, np.full((8, t), 1.0 / t))
@@ -144,7 +134,7 @@ def test_criterion_2_attention_simplex_invariants():
 
 
 def test_criterion_3_conditioning_independence():
-    stream = _attention_stream(np.random.default_rng(6), "pose", ta=True)
+    stream = build_stream(RgbStream, np.random.default_rng(6), ATTENTION, conditioning="pose")
     shake = np.random.default_rng(7)
     for p in stream.parameters().values():
         p.data = shake.normal(size=p.data.shape)

@@ -46,6 +46,23 @@ def test_synth_accepts_a_split_whose_labels_are_not_balanced_or_that_is_empty(tm
     assert load_dataset(out).manifest.provenance["sum_bayes_rate"].get("test_seeds") == rate
 
 
+@pytest.mark.parametrize("flags", [
+    ["--kind-mix", "-1", "1", "1"],
+    ["--kind-mix", "0", "0", "0"],
+    ["--counts", "-5", "2", "2"],
+    ["--noise", "-0.1"],
+    ["--template-scale", "nan"],
+    ["--fake-events", "-1"],
+    ["--seq-len", "0"],
+    ["--seed", "-1"],
+])
+def test_a_bad_synth_value_is_a_usage_error_and_writes_nothing(tmp_path, capsys, flags):
+    out = tmp_path / "c.bin"
+    assert main(["synth", "--kind", "combined", "--out", str(out), "--counts", "8", "4", "4", *flags]) == 1
+    assert "usage error: synth: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_writes_dataset_and_manifest(dataset_path):
     assert dataset_path.exists()
     manifest = json.loads(dataset_path.with_suffix(".json").read_text())

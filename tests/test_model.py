@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import build_stream
 
 from poseattn import tensor as T
 from poseattn.model import (
@@ -34,22 +35,12 @@ def make_batch(rng, b=2, t=4, d=6, pose_dim=12, n_classes=3, step=None):
     )
 
 
-def make_stream(rng, cond="pose", ta=False, pooling="average", **kw):
-    defaults = dict(
-        conditioning=cond,
-        use_temporal=ta,
-        n_frames=4,
-        feat_dim=6,
-        pose_aug_dim=36,
-        hidden_dim=5,
-        n_classes=3,
-        attn_hidden=8,
-        temporal_hidden=4,
-        pooling=pooling,
-        dropout_rate=0.0,
-    )
-    defaults.update(kw)
-    return RgbStream(rng=rng, **defaults)
+# The RGB stream most tests build: window 4, features 6, pose 12 (augmented
+# 36), GRU 5, 3 classes, no temporal attention, no dropout.
+SMALL = dict(
+    pose_dim=12, n_classes=3, clip_len=4, feat_dim=6, rgb_hidden=5, attn_hidden=8, temporal_hidden=4,
+    use_temporal=False, dropout=0.0,
+)
 
 
 class TestSpatialAttention:
@@ -61,7 +52,7 @@ class TestSpatialAttention:
 
     def test_pose_conditioning_ignores_hidden_state(self):
         # The recurrent weights set the state; the attention does not move with them.
-        stream = make_stream(np.random.default_rng(1), cond="pose")
+        stream = build_stream(RgbStream, np.random.default_rng(1), SMALL, conditioning="pose")
         for layer in stream.attn.layers:
             layer.W.data = np.random.default_rng(6).normal(size=layer.W.data.shape)
         batch = make_batch(np.random.default_rng(7))
@@ -104,7 +95,7 @@ class TestContextVector:
 class TestRgbStream:
     def test_output_shapes(self):
         rng = np.random.default_rng(7)
-        stream = make_stream(rng, cond="pose", ta=True)
+        stream = build_stream(RgbStream, rng, SMALL, conditioning="pose", use_temporal=True)
         batch = make_batch(np.random.default_rng(8))
         out = stream.forward(batch)
         assert out.logits.shape == (2, 3)
@@ -115,10 +106,9 @@ class TestRgbStream:
     def test_reference_sizes_shape_only(self):
         # One forward at the published sizes: T=20, D=2048, hidden 1024, C=60.
         rng = np.random.default_rng(9)
-        stream = RgbStream(
-            rng=rng, conditioning="pose", use_temporal=True, n_frames=20,
-            feat_dim=2048, pose_aug_dim=450, hidden_dim=1024, n_classes=60,
-            dropout_rate=0.0,
+        stream = build_stream(
+            RgbStream, rng, dict(pose_dim=150, n_classes=60), conditioning="pose", use_temporal=True,
+            clip_len=20, feat_dim=2048, rgb_hidden=1024, dropout=0.0,
         )
         batch = WindowBatch(
             pose_raw=np.zeros((20, 150)),
@@ -139,9 +129,9 @@ class TestRgbStream:
         batch = make_batch(np.random.default_rng(11))
         batch.features[:] = batch.features[:, :1, :]  # all 4 slots identical
         logits = {}
-        ref = make_stream(np.random.default_rng(42), cond="pose")
+        ref = build_stream(RgbStream, np.random.default_rng(42), SMALL, conditioning="pose")
         for cond in ("pose", "hidden", "both"):
-            stream = make_stream(np.random.default_rng(12), cond=cond)
+            stream = build_stream(RgbStream, np.random.default_rng(12), SMALL, conditioning=cond)
             stream.gru = ref.gru
             stream.head = ref.head
             logits[cond] = stream.forward(batch).logits.data
@@ -150,7 +140,7 @@ class TestRgbStream:
 
     def test_absent_hands_contribute_zero(self):
         for cond in CONDITIONINGS:
-            stream = make_stream(np.random.default_rng(13), cond=cond, ta=True)
+            stream = build_stream(RgbStream, np.random.default_rng(13), SMALL, conditioning=cond, use_temporal=True)
             batch = make_batch(np.random.default_rng(14))
             batch.hand_mask[:, 2:] = 0.0
             batch.features[:, 2:] = 0.0
@@ -164,7 +154,7 @@ class TestRgbStream:
         batch.hand_mask[batch.frames[0], 1] = 0.0
         present = batch.features * batch.hand_mask[..., None]  # (F, 4, D)
         for cond, expected in (("sum", present.sum(axis=1)), ("concat", present.reshape(8, 24))):
-            stream = make_stream(np.random.default_rng(6), cond=cond)
+            stream = build_stream(RgbStream, np.random.default_rng(6), SMALL, conditioning=cond)
             inputs = []
             run = stream.gru.run
 
@@ -182,7 +172,9 @@ class TestRgbStream:
     @pytest.mark.parametrize("ta", [False, True])
     @pytest.mark.parametrize("mask_absent", [False, True])
     def test_matches_a_per_frame_reference(self, cond, ta, mask_absent):
-        stream = make_stream(np.random.default_rng(60), cond=cond, ta=ta, mask_absent=mask_absent)
+        stream = build_stream(
+            RgbStream, np.random.default_rng(60), SMALL, conditioning=cond, use_temporal=ta, mask_absent=mask_absent
+        )
         for mlp in (stream.attn, stream.temporal):  # off the uniform init
             for layer in mlp.layers if mlp is not None else []:
                 layer.W.data = np.random.default_rng(61).normal(size=layer.W.data.shape)
@@ -199,7 +191,9 @@ class TestRgbStream:
     def test_tape_size_does_not_grow_with_the_window(self, cond, ta):
         nodes = []
         for t in (4, 8):
-            stream = make_stream(np.random.default_rng(63), cond=cond, ta=ta, n_frames=t, dropout_rate=0.5)
+            stream = build_stream(
+                RgbStream, np.random.default_rng(63), SMALL, conditioning=cond, use_temporal=ta, clip_len=t, dropout=0.5
+            )
             batch = make_batch(np.random.default_rng(64), t=t)
             with T.Tape() as tape:
                 stream.loss(stream.forward(batch, training=True, rng=np.random.default_rng(65)), batch.labels)
@@ -208,7 +202,7 @@ class TestRgbStream:
 
     @pytest.mark.parametrize("cond", CONDITIONINGS)
     def test_non_finite_hand_feature_raises(self, cond):
-        stream = make_stream(np.random.default_rng(66), cond=cond)
+        stream = build_stream(RgbStream, np.random.default_rng(66), SMALL, conditioning=cond)
         batch = make_batch(np.random.default_rng(67), step=2)
         batch.features[batch.frames[1, 3], 2, 0] = np.nan  # one window's frame, one hand
         with pytest.raises(NumericError):
@@ -219,9 +213,11 @@ class TestRgbStream:
     @pytest.mark.parametrize("ta", [False, True])
     @pytest.mark.parametrize("cond", HIDDEN_CONDITIONINGS)
     def test_state_reading_scan_is_the_per_span_composition_bitwise(self, cond, ta, training, size):
-        dims = dict(feat_dim=16, hidden_dim=48, attn_hidden=48, n_frames=20) if size == "acceptance" else {}
-        train = dict(dropout_rate=0.5, mask_absent=True) if training else {}
-        stream = make_stream(np.random.default_rng(68), cond=cond, ta=ta, **dims, **train)
+        dims = dict(feat_dim=16, rgb_hidden=48, attn_hidden=48, clip_len=20) if size == "acceptance" else {}
+        train = dict(dropout=0.5, mask_absent=True) if training else {}
+        stream = build_stream(
+            RgbStream, np.random.default_rng(68), SMALL, conditioning=cond, use_temporal=ta, **dims, **train
+        )
         for p in stream.parameters().values():  # off the uniform, zero-bias init
             p.data = p.data + 0.3 * np.random.default_rng(69).normal(size=p.data.shape)
         b, t = (32, 20) if size == "acceptance" else (3, 4)
@@ -237,7 +233,7 @@ class TestRgbStream:
 
     def test_pose_conditioned_attention_ignores_features(self):
         rng = np.random.default_rng(15)
-        stream = make_stream(rng, cond="pose", ta=True)
+        stream = build_stream(RgbStream, rng, SMALL, conditioning="pose", use_temporal=True)
         batch = make_batch(np.random.default_rng(16))
         p1 = stream.forward(batch).spatial_attention.data
         batch.features = batch.features + np.random.default_rng(17).normal(
@@ -247,7 +243,7 @@ class TestRgbStream:
         assert np.array_equal(p1, p2)
 
     def test_hidden_conditioned_attention_reacts_to_features(self):
-        stream = make_stream(np.random.default_rng(18), cond="hidden")
+        stream = build_stream(RgbStream, np.random.default_rng(18), SMALL, conditioning="hidden")
         for layer in stream.attn.layers:  # off the uniform init so p depends on input
             layer.W.data = np.random.default_rng(19).normal(size=layer.W.data.shape)
         batch = make_batch(np.random.default_rng(20))
@@ -257,7 +253,7 @@ class TestRgbStream:
         assert not np.array_equal(p1[:, 1:], p2[:, 1:])  # t=0 sees h=0 either way
 
     def test_concat_conditioning_resizes_gru_input(self):
-        stream = make_stream(np.random.default_rng(21), cond="concat")
+        stream = build_stream(RgbStream, np.random.default_rng(21), SMALL, conditioning="concat")
         assert stream.gru.input_dim == 4 * 6
         out = stream.forward(make_batch(np.random.default_rng(22)))
         assert out.spatial_attention is None
@@ -277,7 +273,7 @@ class TestRgbStream:
             return make(out_data, op, parents, vjps)
 
         monkeypatch.setattr(T, "_make", recording_make)
-        stream = make_stream(np.random.default_rng(25), cond=cond, ta=True)
+        stream = build_stream(RgbStream, np.random.default_rng(25), SMALL, conditioning=cond, use_temporal=True)
         batch = make_batch(np.random.default_rng(26))
         with T.Tape():
             stream.forward(batch, training=True, rng=np.random.default_rng(27))
@@ -287,13 +283,13 @@ class TestRgbStream:
     def test_deterministic_forward_given_seed(self):
         outs = []
         for _ in range(2):
-            stream = make_stream(np.random.default_rng(23), cond="both", ta=True)
+            stream = build_stream(RgbStream, np.random.default_rng(23), SMALL, conditioning="both", use_temporal=True)
             out = stream.forward(make_batch(np.random.default_rng(24)))
             outs.append(out.logits.data)
         assert np.array_equal(outs[0], outs[1])
 
     def test_empty_window_rejected(self):
-        stream = make_stream(np.random.default_rng(25))
+        stream = build_stream(RgbStream, np.random.default_rng(25), SMALL)
         batch = make_batch(np.random.default_rng(26))
         batch.frames = batch.frames[:, :0]
         with pytest.raises(ShapeError, match="empty|window"):
@@ -305,8 +301,8 @@ class TestRgbStream:
         # On: their attention weight is driven to zero before the softmax.
         batch = make_batch(np.random.default_rng(50))
         batch.hand_mask[:, 1] = 0.0
-        plain = make_stream(np.random.default_rng(51), cond="pose")
-        masked = make_stream(np.random.default_rng(51), cond="pose", mask_absent=True)
+        plain = build_stream(RgbStream, np.random.default_rng(51), SMALL, conditioning="pose")
+        masked = build_stream(RgbStream, np.random.default_rng(51), SMALL, conditioning="pose", mask_absent=True)
         p_plain = plain.forward(batch).spatial_attention.data
         p_masked = masked.forward(batch).spatial_attention.data
         assert p_plain[:, :, 1].min() > 0
@@ -315,14 +311,14 @@ class TestRgbStream:
 
     def test_last_pooling_takes_last_step(self):
         rng = np.random.default_rng(27)
-        stream = make_stream(rng, cond="sum", pooling="last")
+        stream = build_stream(RgbStream, rng, SMALL, conditioning="sum", pooling="last")
         batch = make_batch(np.random.default_rng(28))
         out = stream.forward(batch)
         assert np.allclose(out.logits.data, out.per_step_logits.data[:, -1, :])
 
     def test_average_pooling_means_steps(self):
         rng = np.random.default_rng(29)
-        stream = make_stream(rng, cond="sum", pooling="average")
+        stream = build_stream(RgbStream, rng, SMALL, conditioning="sum", pooling="average")
         out = stream.forward(make_batch(np.random.default_rng(30)))
         assert np.allclose(out.logits.data, out.per_step_logits.data.mean(axis=1))
 
@@ -332,7 +328,7 @@ def _per_span_forward(stream, batch, training, rng):
     composed frame by frame on the tape: per frame the attention, the slot
     mix, context dropout and a one-step GRU scan fed the last frame's state."""
     b, n = batch.frames.shape
-    H, rate = stream.hidden_dim, stream.dropout_rate
+    H, rate = stream.gru.hidden_dim, stream.dropout_rate
     feats, mask, pose = (a[batch.frames] for a in (batch.features, batch.hand_mask, batch.pose_aug))
     h = Tensor(np.zeros((b, 1, H)))
     states, attentions = [], []
@@ -373,7 +369,7 @@ def _mlp(mlp, x):
 def _reference_logits(stream, batch):
     """The RGB stream written out frame by frame in numpy, at dropout 0."""
     b, n = batch.batch_size, batch.n_frames
-    cond, H = stream.conditioning, stream.hidden_dim
+    cond, H = stream.conditioning, stream.gru.hidden_dim
     W, U, bias = stream.gru.W.data, stream.gru.U.data, stream.gru.b.data
     h = np.zeros((b, H))
     states = []
@@ -408,7 +404,7 @@ def _reference_logits(stream, batch):
 
 class TestTemporalPooling:
     def test_uniform_at_initialization(self):
-        stream = make_stream(np.random.default_rng(31), cond="pose", ta=True)
+        stream = build_stream(RgbStream, np.random.default_rng(31), SMALL, conditioning="pose", use_temporal=True)
         out = stream.forward(make_batch(np.random.default_rng(32)))
         assert np.array_equal(out.temporal_attention.data, np.full((2, 4), 0.25))
 
@@ -422,7 +418,7 @@ class TestTemporalPooling:
         assert np.array_equal(pooled.data, h.data[:, k, :])
 
     def test_simplex_property(self):
-        stream = make_stream(np.random.default_rng(34), cond="pose", ta=True)
+        stream = build_stream(RgbStream, np.random.default_rng(34), SMALL, conditioning="pose", use_temporal=True)
         for layer in stream.temporal.layers:
             layer.W.data = 5.0 * np.random.default_rng(35).normal(size=layer.W.data.shape)
         out = stream.forward(make_batch(np.random.default_rng(36)))
@@ -434,7 +430,9 @@ class TestTemporalPooling:
 class TestPoseStream:
     def test_shapes_and_per_step_logits(self):
         rng = np.random.default_rng(37)
-        stream = PoseStream(rng=rng, pose_dim=12, hidden_dim=6, n_layers=3, n_classes=4, dropout_rate=0.0)
+        stream = build_stream(
+            PoseStream, rng, dict(pose_dim=12, n_classes=4), pose_hidden=6, pose_layers=3, dropout=0.0
+        )
         batch = make_batch(np.random.default_rng(38), n_classes=4)
         out = stream.forward(batch)
         assert out.per_step_logits.shape == (2, 4, 4)
@@ -442,7 +440,9 @@ class TestPoseStream:
 
     def test_zero_pose_zero_params_uniform_posterior(self):
         rng = np.random.default_rng(39)
-        stream = PoseStream(rng=rng, pose_dim=12, hidden_dim=6, n_layers=2, n_classes=5, dropout_rate=0.0)
+        stream = build_stream(
+            PoseStream, rng, dict(pose_dim=12, n_classes=5), pose_hidden=6, pose_layers=2, dropout=0.0
+        )
         for p in stream.parameters().values():
             p.data = np.zeros_like(p.data)
         batch = make_batch(np.random.default_rng(40), n_classes=5)
@@ -478,22 +478,62 @@ PARAMETER_NAMES = {
 
 def test_parameter_names_and_order_pinned_for_all_cells():
     d = TinyDims()
+    tiny = dict(
+        pose_dim=d.pose_dim, n_classes=d.n_classes, clip_len=d.n_frames, feat_dim=d.feat_dim,
+        rgb_hidden=d.rgb_hidden, attn_hidden=d.attn_hidden, temporal_hidden=d.temporal_hidden,
+        pose_hidden=d.pose_hidden, pose_layers=3,
+    )
     names = {}
     for cond in CONDITIONINGS:
         for ta in (False, True):
-            stream = RgbStream(
-                rng=np.random.default_rng(0), conditioning=cond, use_temporal=ta,
-                n_frames=d.n_frames, feat_dim=d.feat_dim, pose_aug_dim=3 * d.pose_dim,
-                hidden_dim=d.rgb_hidden, n_classes=d.n_classes, attn_hidden=d.attn_hidden,
-                temporal_hidden=d.temporal_hidden,
-            )
+            stream = build_stream(RgbStream, np.random.default_rng(0), tiny, conditioning=cond, use_temporal=ta)
             names[(cond, ta)] = list(stream.parameters())
-    pose = PoseStream(
-        rng=np.random.default_rng(0), pose_dim=d.pose_dim, hidden_dim=d.pose_hidden,
-        n_layers=3, n_classes=d.n_classes,
-    )
+    pose = build_stream(PoseStream, np.random.default_rng(0), tiny)
     names["pose_stream"] = list(pose.parameters())
     assert names == PARAMETER_NAMES
+
+
+def _stream_facts(**settings):
+    """Parameter shapes and plain attributes of the RGB and pose streams
+    built from one config: window 4, features 6, pose 12, 3 classes."""
+    base = dict(
+        pose_dim=12, n_classes=3, clip_len=4, feat_dim=6, rgb_hidden=5, attn_hidden=8, temporal_hidden=4,
+        pose_hidden=6, pose_layers=3,
+    )
+    facts = {}
+    for tag, cls in (("rgb", RgbStream), ("pose", PoseStream)):
+        stream = build_stream(cls, np.random.default_rng(0), base, **settings)
+        facts |= {f"{tag} {name}": p.data.shape for name, p in stream.parameters().items()}
+        facts |= {f"{tag}.{k}": v for k, v in vars(stream).items() if isinstance(v, (bool, int, float, str))}
+    return facts
+
+
+_POSE_LAYERS = ("W", "U", "b")
+
+
+@pytest.mark.parametrize("field, value, changed", [
+    ("rgb_hidden", 7, {"rgb gru.W": (21, 6), "rgb gru.U": (21, 7), "rgb gru.b": (21,), "rgb head.W": (3, 7)}),
+    ("attn_hidden", 9, {"rgb attn.l0.W": (9, 36), "rgb attn.l0.b": (9,), "rgb attn.l1.W": (4, 9)}),
+    ("temporal_hidden", 6, {"rgb temporal.l0.W": (6, 8), "rgb temporal.l0.b": (6,), "rgb temporal.l1.W": (4, 6)}),
+    ("pose_hidden", 8, {
+        f"pose stack.layer{i}.{n}": (24,) if n == "b" else (24, 12 if (i, n) == (0, "W") else 8)
+        for i in range(3) for n in _POSE_LAYERS
+    } | {"pose head.W": (3, 8)}),
+    ("pose_layers", 2, {f"pose stack.layer2.{n}": None for n in _POSE_LAYERS}),
+    ("dropout", 0.25, {"rgb.dropout_rate": 0.25, "pose.dropout_rate": 0.25}),
+    ("stack_dropout", False, {"pose.dropout_rate": 0.0}),
+    ("mask_absent", True, {"rgb.mask_absent": True}),
+    ("pooling", "last", {"rgb.pooling": "last"}),
+    ("conditioning", "both", {"rgb.conditioning": "both", "rgb attn.l0.W": (8, 36 + 5)}),
+    ("use_temporal", False, {"rgb.use_temporal": False} | {
+        f"rgb temporal.l{i}.{n}": None for i in range(2) for n in ("W", "b")
+    }),
+])
+def test_every_setting_reaches_the_stream(field, value, changed):
+    # The defaults' facts, then what one setting other than its default
+    # changes: a shape, a parameter gone (None), or an attribute.
+    before, after = _stream_facts(), _stream_facts(**{field: value})
+    assert {k: after.get(k) for k in before.keys() | after.keys() if before.get(k) != after.get(k)} == changed
 
 
 class TestFusion:

@@ -256,3 +256,18 @@ class TestSpecValidation:
     def test_sequence_must_fit_clip(self):
         with pytest.raises(ValueError, match="shorter"):
             SyntheticSpec(kind="combined", seq_len=10, clip_len=20).validate()
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("counts", (-5, 2, 2), "split counts"),
+        ("noise", -0.1, "noise"),
+        ("noise", float("nan"), "noise"),
+        ("template_scale", float("nan"), "finite"),
+        ("slot_motion_amp", float("inf"), "finite"),
+        ("fake_events", -1, "fake events"),
+        ("kind_mix", (-1.0, 1.0, 1.0), "kind mix"),
+        ("kind_mix", (0.0, 0.0, 0.0), "kind mix"),
+        ("seed", -1, "seed"),
+    ])
+    def test_a_value_the_generator_cannot_honour_is_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            SyntheticSpec(kind="combined", **{field: value}).validate()

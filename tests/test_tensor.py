@@ -5,6 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
+from conftest import build_stream
 
 from poseattn import tensor as T
 from poseattn import verify
@@ -612,18 +613,18 @@ def test_the_pose_streams_layer_gemm_runs_whole(two_cpus):
     # The paper-scale pose stream's eval chunk through a GRU 150 layer: 80
     # windows of 20 frames @ W.T, W (450, 150).  Above MM_SPLIT_MIN, but no
     # split of 450 columns keeps the bits, and a split of its rows changed
-    # columns 448-449.
+    # columns 448-449; so it opens no helper either.
     rng = np.random.default_rng(11)
     x, W = rng.normal(size=(1600, 150)), rng.normal(size=(450, 150))
     assert 1600 * 150 * 450 >= T.MM_SPLIT_MIN
     assert T._mm(x, W.T).tobytes() == np.matmul(x, W.T).tobytes()
-    assert two_cpus == {"helpers": 1, "jobs": 0}
+    assert two_cpus == {"helpers": 0, "jobs": 0}
 
 
 def test_paper_scale_pose_stream_eval_logits_do_not_depend_on_the_cpu_count(two_cpus, monkeypatch):
     # Pose dim 144 (24 joints), GRU 3 x 150, an eval chunk of 80 windows.
     rng = np.random.default_rng(12)
-    stream = PoseStream(rng, pose_dim=144, hidden_dim=150, n_layers=3, n_classes=10)
+    stream = build_stream(PoseStream, rng, dict(pose_dim=144, n_classes=10), pose_hidden=150, pose_layers=3)
     frames = np.arange(1600).reshape(80, 20)
     batch = WindowBatch(
         pose_raw=rng.normal(size=(1600, 144)), pose_aug=np.zeros((1600, 432)), motion=np.zeros((1600, 2)),

@@ -13,7 +13,7 @@ import poseattn.tensor as T
 import poseattn.training as training
 from poseattn import cli
 from poseattn.data import ChecksumError, DatasetError, dataset_content_hash, load_dataset, save_dataset
-from poseattn.model import CONDITIONINGS, StreamOutput
+from poseattn.model import CONDITIONINGS, RgbStream, StreamOutput
 from poseattn.pose import eval_window_starts, window_indices
 from poseattn.synth import SyntheticSpec, generate
 from poseattn.tensor import NumericError, Tensor
@@ -672,7 +672,7 @@ class TestPrepare:
 
 def _off_uniform_rgb_stream(config, dims, seed):
     """An RGB stream whose attention networks are off their uniform init."""
-    stream = training.build_rgb_stream(config, dims, np.random.default_rng(seed))
+    stream = RgbStream(config, dims, np.random.default_rng(seed))
     shake = np.random.default_rng([seed, 1])
     for mlp in (stream.attn, stream.temporal):
         for layer in mlp.layers if mlp is not None else []:
