@@ -6,11 +6,11 @@ a UTF-8 JSON header, the header, its u32 CRC32, then raw blocks whose sizes
 and CRC32s the header gives, with nothing after the last.
 
 A dataset file (format 3) has the manifest as its header and one block per
-manifest record, in manifest order.  Each block packs, in order: joints3d
-f32 (T, 2, J, 3), subject flags u8 (2,), label i32, then per-hand features
-f32 (T, 4, D), ground-truth attention slots i32 (T,) and window i32 (2,)
-when the manifest flags say so.  Storage is f32; compute is f64.
-Round-trips are bitwise.
+manifest record, in manifest order.  The format is written down once: the
+header's fields are those of ``DatasetManifest`` and ``SequenceRecord``,
+each read as its declared type (``typed``), and ``block_layout`` gives
+the arrays a block packs.  Storage is f32; compute is f64.  Round-trips
+are bitwise.
 
 A loaded ``Dataset`` is identified by the sha256 of its manifest header
 (``Dataset.content_hash``): the header holds every block's size and CRC32,
@@ -18,14 +18,14 @@ so it fixes every byte a load accepts, up to a CRC32 collision.  It also
 carries its model inputs, prepared once on first use (``Dataset.prepared``)
 and shared, read-only, by every run on it.
 """
-from __future__ import annotations
-
+# No ``from __future__ import annotations``: the header readers check each
+# value against its dataclass field's type, which must be a class.
 import hashlib
 import json
 import os
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
@@ -61,12 +61,34 @@ class ChecksumError(DatasetError):
 
 class ManifestError(DatasetError):
     """The header is not a JSON object with a version, or the manifest lacks
-    a field or sizes a block wrongly."""
+    a field, holds one of the wrong type, has a record out of range or sizes
+    a block wrongly."""
+
+
+def typed(header: dict, key: str, kind: type):
+    """``header[key]``, which must be a ``kind``: a bool is not a number."""
+    value = header[key]
+    if type(value) is not kind:
+        raise TypeError(f"field {key!r} is {value!r}, not {kind.__name__}")
+    return value
+
+
+def _to_header(obj) -> dict:
+    """``obj``'s dataclass fields, each under its header key: its ``key``
+    metadata, else its name."""
+    return {f.metadata.get("key", f.name): getattr(obj, f.name) for f in fields(obj)}
+
+
+def _from_header(cls, header: dict, **given):
+    """A ``cls`` of the fields ``given``, and every other field read from
+    ``header`` under its header key as its declared type."""
+    read = {f.name: typed(header, f.metadata.get("key", f.name), f.type) for f in fields(cls) if f.name not in given}
+    return cls(**read, **given)
 
 
 @dataclass
 class SequenceRecord:
-    seq_id: str
+    seq_id: str = field(metadata={"key": "id"})
     label: int
     split: str
     subjects: int
@@ -75,27 +97,11 @@ class SequenceRecord:
     crc32: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "id": self.seq_id,
-            "label": self.label,
-            "split": self.split,
-            "subjects": self.subjects,
-            "n_frames": self.n_frames,
-            "nbytes": self.nbytes,
-            "crc32": self.crc32,
-        }
+        return _to_header(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "SequenceRecord":
-        return cls(
-            seq_id=d["id"],
-            label=int(d["label"]),
-            split=d["split"],
-            subjects=int(d["subjects"]),
-            n_frames=int(d["n_frames"]),
-            nbytes=int(d["nbytes"]),
-            crc32=int(d["crc32"]),
-        )
+        return _from_header(cls, d)
 
 
 @dataclass
@@ -114,38 +120,23 @@ class DatasetManifest:
         ids = [r.seq_id for r in self.records]
         if len(ids) != len(set(ids)):
             raise DatasetError("manifest contains duplicate sequence ids")
+        for r in self.records:
+            if not 0 <= r.label < self.n_classes:
+                raise ManifestError(f"record {r.seq_id}: label {r.label} outside [0, {self.n_classes})")
+            if r.split not in SPLITS:
+                raise ManifestError(f"record {r.seq_id}: split {r.split!r} is not one of {SPLITS}")
 
     def split_ids(self, split: str) -> list[str]:
         return [r.seq_id for r in self.records if r.split == split]
 
     def to_json(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "n_classes": self.n_classes,
-            "feature_dim": self.feature_dim,
-            "n_joints": self.n_joints,
-            "spine_joint": self.spine_joint,
-            "has_features": self.has_features,
-            "has_gt_slot": self.has_gt_slot,
-            "has_gt_window": self.has_gt_window,
-            "provenance": self.provenance,
-            "records": [r.to_json() for r in self.records],
-        }
+        records = [r.to_json() for r in self.records]
+        return {**_to_header(self), "format_version": FORMAT_VERSION, "records": records}
 
     @classmethod
     def from_json(cls, d: dict) -> "DatasetManifest":
         """The manifest of a header whose version ``read_framed`` has checked."""
-        return cls(
-            n_classes=int(d["n_classes"]),
-            feature_dim=int(d["feature_dim"]),
-            n_joints=int(d["n_joints"]),
-            spine_joint=int(d["spine_joint"]),
-            has_features=bool(d["has_features"]),
-            has_gt_slot=bool(d["has_gt_slot"]),
-            has_gt_window=bool(d["has_gt_window"]),
-            provenance=d.get("provenance", {}),
-            records=[SequenceRecord.from_json(r) for r in d["records"]],
-        )
+        return _from_header(cls, d, records=[SequenceRecord.from_json(r) for r in typed(d, "records", list)])
 
 
 @dataclass
@@ -221,74 +212,59 @@ def prepare_sequences(dataset: Dataset) -> dict[str, PreparedSequence]:
     return out
 
 
-def _encode_record(manifest: DatasetManifest, record: SequenceRecord, data: SequenceData) -> bytes:
-    t = data.seq.n_frames
-    j = manifest.n_joints
-    parts = [
-        np.ascontiguousarray(data.seq.joints3d, dtype="<f4").tobytes(),
-        np.ascontiguousarray(data.seq.subject_present, dtype=np.uint8).tobytes(),
-        np.int32(record.label).astype("<i4").tobytes(),
-    ]
+def block_layout(manifest: DatasetManifest, n_frames: int) -> np.dtype:
+    """The record block of ``n_frames`` frames under the manifest's flags: a
+    packed structured dtype of one ``(name, dtype, shape)`` per array, in
+    stored order, whose ``itemsize`` is the block's size."""
+    t = n_frames
+    arrays = [("joints3d", "<f4", (t, 2, manifest.n_joints, 3)), ("subject_present", "u1", (2,)), ("label", "<i4", ())]
     if manifest.has_features:
-        if data.features is None:
-            raise DatasetError(f"record {record.seq_id}: manifest promises features, none given")
-        if data.features.shape != (t, 4, manifest.feature_dim):
-            raise DatasetError(
-                f"record {record.seq_id}: feature shape {data.features.shape} != "
-                f"({t}, 4, {manifest.feature_dim})"
-            )
-        parts.append(np.ascontiguousarray(data.features, dtype="<f4").tobytes())
+        arrays.append(("features", "<f4", (t, 4, manifest.feature_dim)))
     if manifest.has_gt_slot:
-        slot = data.gt_slot if data.gt_slot is not None else np.full(t, -1, dtype=np.int32)
-        parts.append(np.ascontiguousarray(slot, dtype="<i4").tobytes())
+        arrays.append(("gt_slot", "<i4", (t,)))
     if manifest.has_gt_window:
-        win = data.gt_window if data.gt_window is not None else np.array([-1, -1], dtype=np.int32)
-        parts.append(np.ascontiguousarray(win, dtype="<i4").tobytes())
-    if data.seq.joints3d.shape != (t, 2, j, 3):
-        raise DatasetError(
-            f"record {record.seq_id}: joints shape {data.seq.joints3d.shape} != ({t}, 2, {j}, 3)"
-        )
-    return b"".join(parts)
+        arrays.append(("gt_window", "<i4", (2,)))
+    return np.dtype(arrays)
 
 
-def _record_nbytes(manifest: DatasetManifest, n_frames: int) -> int:
-    """The size of a block of ``n_frames`` frames under the manifest's flags."""
-    per_frame = 4 * 2 * manifest.n_joints * 3
-    per_frame += 4 * 4 * manifest.feature_dim if manifest.has_features else 0
-    per_frame += 4 if manifest.has_gt_slot else 0
-    return n_frames * per_frame + 2 + 4 + (8 if manifest.has_gt_window else 0)
-
-
-def _decode_record(
-    path: str | Path, manifest: DatasetManifest, record: SequenceRecord, blob: bytes
-) -> SequenceData:
+def _encode_record(manifest: DatasetManifest, record: SequenceRecord, data: SequenceData) -> bytes:
     t = record.n_frames
-    j = manifest.n_joints
-    pos = 0
+    arrays = {
+        "joints3d": data.seq.joints3d,
+        "subject_present": data.seq.subject_present,
+        "label": record.label,
+        "features": data.features,
+        "gt_slot": np.full(t, -1) if data.gt_slot is None else data.gt_slot,
+        "gt_window": np.array([-1, -1]) if data.gt_window is None else data.gt_window,
+    }
+    layout = block_layout(manifest, t)
+    block = np.zeros((), layout)
+    for name in layout.names:
+        value = arrays[name]
+        if value is None:
+            raise DatasetError(f"record {record.seq_id}: manifest promises {name}, none given")
+        if np.shape(value) != layout[name].shape:
+            raise DatasetError(f"record {record.seq_id}: {name} shape {np.shape(value)} != {layout[name].shape}")
+        block[name] = value
+    return block.tobytes()
 
-    def take(count: int, dtype: str) -> np.ndarray:
-        nonlocal pos
-        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
-        pos += arr.nbytes
-        return arr
 
-    joints = take(t * 2 * j * 3, "<f4").reshape(t, 2, j, 3).astype(np.float64)
-    present = take(2, np.uint8).astype(bool)
-    label = int(take(1, "<i4")[0])
+def _decode_record(path: str | Path, layout: np.dtype, record: SequenceRecord, blob: bytes) -> SequenceData:
+    block = np.frombuffer(blob, layout)[0]
+    label = int(block["label"])
     if label != record.label:
         raise ChecksumError(
             f"{path}: record {record.seq_id}: payload label {label} != manifest label {record.label}"
         )
+    joints, present = block["joints3d"].astype(np.float64), block["subject_present"].astype(bool)
     seq = PoseSequence(joints3d=joints, subject_present=present, label=label, seq_id=record.seq_id)
-    features = None
-    if manifest.has_features:
-        features = take(t * 4 * manifest.feature_dim, "<f4").reshape(t, 4, manifest.feature_dim)
-        # A copy, not a view of the block: the features start 6 bytes past a
-        # 4-byte boundary (joints, 2 presence bytes, label), so a view would
-        # be misaligned for every batch that reads it.
-        features = features.astype(np.float32)
-    gt_slot = take(t, "<i4").copy() if manifest.has_gt_slot else None
-    gt_window = take(2, "<i4").copy() if manifest.has_gt_window else None
+    names = layout.names
+    # A copy, not a view of the block: the features start 6 bytes past a
+    # 4-byte boundary (joints, 2 presence bytes, label), so a view would
+    # be misaligned for every batch that reads it.
+    features = block["features"].astype(np.float32) if "features" in names else None
+    gt_slot = block["gt_slot"].copy() if "gt_slot" in names else None
+    gt_window = block["gt_window"].copy() if "gt_window" in names else None
     return SequenceData(seq=seq, features=features, gt_slot=gt_slot, gt_window=gt_window)
 
 
@@ -420,16 +396,21 @@ def load_dataset(path: str | Path) -> Dataset:
         content_hash = hashlib.sha256(json.dumps(header, sort_keys=True).encode()).hexdigest()
         with header_field(path, "manifest"):
             manifest = DatasetManifest.from_json(header)
-        sequences = {}
+        sequences, layouts = {}, {}
         for record in manifest.records:
-            expected = _record_nbytes(manifest, record.n_frames)
-            if record.nbytes != expected:
+            # One layout per distinct frame count: building one costs more
+            # than checking and decoding a small block.
+            layout = layouts.get(record.n_frames)
+            if layout is None:
+                with header_field(path, f"record {record.seq_id}"):
+                    layout = layouts[record.n_frames] = block_layout(manifest, record.n_frames)
+            if record.nbytes != layout.itemsize:
                 raise ManifestError(
-                    f"{path}: record {record.seq_id}: stored nbytes {record.nbytes} != {expected} "
+                    f"{path}: record {record.seq_id}: stored nbytes {record.nbytes} != {layout.itemsize} "
                     f"expected from n_frames {record.n_frames} and the manifest flags"
                 )
             blob = block(f"record {record.seq_id}", record.nbytes, record.crc32)
-            sequences[record.seq_id] = _decode_record(path, manifest, record, blob)
+            sequences[record.seq_id] = _decode_record(path, layout, record, blob)
     return Dataset(manifest=manifest, sequences=sequences, content_hash=content_hash)
 
 

@@ -123,6 +123,9 @@ class Tape:
         ``subtract`` for its first input).  Any other first contribution is
         copied once, and later ones are added into the ``grad`` in place.
         A kept contribution may hold -0.0 where adding it to zeros gave +0.0.
+        Each node leaves the tape as the sweep reaches it, so an intermediate's
+        ``grad`` and the arrays its VJPs hold are freed once those VJPs have
+        run, unless the caller still holds them.
         """
         if self._consumed:
             raise GraphError("backward already ran on this tape; re-record the graph first")
@@ -132,7 +135,8 @@ class Tape:
             raise GraphError("loss is detached from this tape")
         self._consumed = True
         loss.grad = np.ones((), dtype=np.float64)
-        for out, parents, vjps in reversed(self._nodes):
+        while self._nodes:
+            out, parents, vjps = self._nodes.pop()
             g = out.grad
             if g is None:
                 continue
@@ -153,7 +157,6 @@ class Tape:
                 else:
                     parent.grad = np.empty(parent.data.shape)
                     parent.grad[...] = contrib
-        self._nodes.clear()
         self._out_ids.clear()
 
 

@@ -27,7 +27,7 @@ from . import NUMPY_LOADED_BEFORE_PIN, THREAD_ENV
 # with Dataset, which reads it through ``Dataset.prepared``.
 from .data import (  # noqa: F401
     Dataset, DatasetError, PreparedSequence, header_field, load_dataset, prepare_sequences, read_framed,
-    replacing, write_framed,
+    replacing, typed, write_framed,
 )
 from .model import CONDITIONINGS, PoseStream, RgbStream, WindowBatch, fuse_logits
 from .nn import AdamState, adam_step, collect_grads, zero_grads
@@ -223,15 +223,9 @@ def _fresh_stream(name: str, config: RunConfig, dims: ModelDims, drawn: bool = T
     return cls(config, dims, _rng(config.seed, _STREAM_TAG[name], 0) if drawn else None)
 
 
-def evaluate(
-    streams: list,
-    prepared: dict[str, PreparedSequence],
-    ids: list[str],
-    clip_len: int,
-    chunk: int = EVAL_CHUNK,
-) -> float:
+def evaluate(streams: list, prepared: dict[str, PreparedSequence], ids: list[str], clip_len: int) -> float:
     """Top-1 accuracy under the fixed multi-window protocol."""
-    return accuracy(predict_logits(streams, prepared, ids, clip_len, chunk=chunk), prepared, ids)
+    return accuracy(predict_logits(streams, prepared, ids, clip_len), prepared, ids)
 
 
 def accuracy(logits: np.ndarray, prepared: dict[str, PreparedSequence], ids: list[str]) -> float:
@@ -522,14 +516,6 @@ def save_checkpoint(
     write_framed(path, CHECKPOINT_MAGIC, header, (a for blocks in arrays.values() for a in blocks.values()))
 
 
-def _typed(header: dict, key: str, kind: type):
-    """``header[key]``, which must be a ``kind``: a bool is not a number."""
-    value = header[key]
-    if type(value) is not kind:
-        raise TypeError(f"field {key!r} is {value!r}, not {kind.__name__}")
-    return value
-
-
 def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, dict]]:
     """Rebuild the stream models a checkpoint holds, each with its best epoch,
     its validation accuracy and the header's ``dataset_hash`` and ``partial``
@@ -542,15 +528,15 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, d
         with header_field(path, "checkpoint config"):
             config = RunConfig.from_json(meta["config"])
         with header_field(path, "checkpoint"):
-            dims = _typed(meta, "dims", dict)
-            dims = {f.name: _typed(dims, f.name, int) for f in dataclasses.fields(ModelDims)}
+            dims = typed(meta, "dims", dict)
+            dims = {f.name: typed(dims, f.name, int) for f in dataclasses.fields(ModelDims)}
             if min(dims.values()) < 0:
                 raise ValueError(f"field 'dims' is {dims}, with a size below 0")
-            dims, dataset_hash = ModelDims(**dims), _typed(meta, "dataset_hash", str)
+            dims, dataset_hash = ModelDims(**dims), typed(meta, "dataset_hash", str)
             if not re.fullmatch(r"([0-9a-f]{64})?", dataset_hash):
                 raise ValueError(f"field 'dataset_hash' is {dataset_hash!r}, not \"\" or 64 lowercase hex digits")
-            partial = _typed(meta, "partial", bool)
-            stored_streams = sorted(_typed(meta, "streams", dict).items())
+            partial = typed(meta, "partial", bool)
+            stored_streams = sorted(typed(meta, "streams", dict).items())
             if not stored_streams:
                 raise ValueError("field 'streams' is empty")
         streams: dict[str, dict] = {}
@@ -558,9 +544,9 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, ModelDims, dict[str, d
             with header_field(path, f"checkpoint {name} stream"):
                 if name not in _STREAM_TAG:
                     raise ValueError(f"field 'streams' names a stream other than {sorted(_STREAM_TAG)}")
-                listed = _typed(smeta, "params", dict)
-                stored = {k: (_typed(p, "shape", list), _typed(p, "crc32", int)) for k, p in listed.items()}
-                best = {key: _typed(smeta, key, kind) for key, kind in (("best_epoch", int), ("best_val_acc", float))}
+                listed = typed(smeta, "params", dict)
+                stored = {k: (typed(p, "shape", list), typed(p, "crc32", int)) for k, p in listed.items()}
+                best = {key: typed(smeta, key, kind) for key, kind in (("best_epoch", int), ("best_val_acc", float))}
                 if best["best_epoch"] < 0:
                     raise ValueError(f"field 'best_epoch' is {best['best_epoch']}, below 0")
                 stream = _fresh_stream(name, config, dims, drawn=False)

@@ -6,6 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
+import golden_format
 
 from poseattn.data import (
     MAGIC,
@@ -250,6 +251,25 @@ def test_duplicate_ids_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda s: setattr(s, "features", None), "manifest promises features, none given"),
+        (lambda s: setattr(s, "features", s.features[:, :, :3]), "features shape (5, 4, 3) != (5, 4, 4)"),
+        (lambda s: setattr(s.seq, "joints3d", s.seq.joints3d[:4]), "joints3d shape (4, 2, 3, 3) != (5, 2, 3, 3)"),
+        (lambda s: setattr(s, "gt_slot", s.gt_slot[:4]), "gt_slot shape (4,) != (5,)"),
+    ],
+    ids=["features-none", "features-shape", "joints-shape", "gt_slot-shape"],
+)
+def test_save_refuses_an_array_that_does_not_fit_the_block(tmp_path, edit, message):
+    ds = tiny_dataset()
+    edit(ds.sequences["seq-001"])
+    path = tmp_path / "tiny.bin"
+    with pytest.raises(DatasetError, match=re.escape(f"record seq-001: {message}")):
+        save_dataset(path, ds)
+    assert not path.exists()
+
+
 def test_manifest_label_payload_consistency(tmp_path):
     path = saved(tmp_path)
 
@@ -431,27 +451,62 @@ def set_field(key, value):
     return edit
 
 
+def as_float(key):
+    """An edit that stores record 2's ``key`` as the float of its own value,
+    which a reader that coerces with ``int()`` would accept."""
+    def edit(m):
+        m["records"][2][key] = float(m["records"][2][key])
+    return edit
+
+
 @pytest.mark.parametrize(
-    "edit, error",
+    "edit, error, named",
     [
-        (set_field("nbytes", 715), ManifestError),
-        (set_field("crc32", 0), ChecksumError),
-        (lambda m: m["records"][2].pop("crc32"), ManifestError),
-        (set_field("n_frames", "five"), ManifestError),
-        (set_field("n_frames", float("inf")), ManifestError),
-        (set_field("label", [0]), ManifestError),
-        (lambda m: m.update(records={"seq-000": {}}), ManifestError),
-        (lambda m: m.update(has_gt_slot=None), ManifestError),
+        (set_field("nbytes", 715), ManifestError, "record seq-002: stored nbytes 715"),
+        (set_field("crc32", 0), ChecksumError, "record seq-002: checksum mismatch"),
+        (lambda m: m["records"][2].pop("crc32"), ManifestError, "field 'crc32' is missing"),
+        (set_field("n_frames", "five"), ManifestError, "field 'n_frames'"),
+        (set_field("n_frames", float("inf")), ManifestError, "field 'n_frames'"),
+        (set_field("n_frames", -1), ManifestError, "record seq-002: "),
+        (set_field("label", [0]), ManifestError, "field 'label'"),
+        (lambda m: m.update(records={"seq-000": {}}), ManifestError, "field 'records'"),
+        (lambda m: m.update(has_gt_slot=None), ManifestError, "field 'has_gt_slot'"),
+        (lambda m: m.update(spine_joint=True), ManifestError, "field 'spine_joint'"),
+        (lambda m: m.update(n_classes=2.0), ManifestError, "field 'n_classes'"),
+        (lambda m: m.update(has_gt_window="false"), ManifestError, "field 'has_gt_window'"),
+        (as_float("n_frames"), ManifestError, "field 'n_frames'"),
+        (as_float("label"), ManifestError, "field 'label'"),
+        (set_field("id", 5), ManifestError, "field 'id'"),
     ],
     ids=[
-        "nbytes", "crc32", "missing-crc32", "n_frames-str", "n_frames-inf", "label-list",
-        "records-object", "has_gt_slot-null",
+        "nbytes", "crc32", "missing-crc32", "n_frames-str", "n_frames-inf", "n_frames-negative", "label-list",
+        "records-object", "has_gt_slot-null", "spine_joint-bool", "n_classes-float", "has_gt_window-str",
+        "n_frames-float", "label-float", "id-int",
     ],
 )
-def test_a_manifest_edit_names_the_file(corruptible, edit, error):
+def test_a_manifest_edit_names_the_file(corruptible, edit, error, named):
     # Edits of n_frames, label and a top-level field have tests of their own above.
     whole, _, path = corruptible
     path.write_bytes(whole)
     rewrite_manifest(path, edit)
-    with pytest.raises(error, match=re.escape(str(path))):
+    with pytest.raises(error, match=f"{re.escape(str(path))}: .*{re.escape(named)}"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("label", 7, "label 7 outside [0, 2)"), ("split", "tain", "split 'tain' is not one of")],
+)
+def test_a_record_out_of_range_fails_at_load_naming_the_file_and_record(tmp_path, key, value, message):
+    ds = tiny_dataset()
+    # Set after the manifest is built, so the file is written consistently:
+    # the block's label is the record's.
+    setattr(ds.manifest.records[2], key, value)
+    path = tmp_path / "tiny.bin"
+    save_dataset(path, ds)
+    with pytest.raises(ManifestError, match=re.escape(f"{path}: record seq-002: {message}")):
+        load_dataset(path)
+
+
+def test_saved_files_match_the_golden_digests():
+    assert golden_format.digests() == json.loads(golden_format.GOLDEN.read_text())

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import weakref
 import zlib
 
 import numpy as np
@@ -94,6 +95,28 @@ def test_backward_is_linear_in_node_count():
     tape.backward(loss)
     assert nodes == 2 * 40 + 1
     assert np.allclose(x.grad, [1.0])
+
+
+def test_backward_frees_each_node_as_it_sweeps_it():
+    # ``held`` lives only in the VJP of the node the sweep reaches first; it
+    # must be gone by the time the sweep reaches the first node recorded.
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    held = np.array([3.0, 4.0])
+    ref = weakref.ref(held)
+    freed = []
+
+    def first_vjp(g):
+        freed.append(ref() is None)
+        return g
+
+    with Tape() as tape:
+        y = T._make(x.data.copy(), "first", (x,), (first_vjp,))
+        z = T._make(y.data * held, "last", (y,), (lambda g, held=held: g * held,))
+        del held
+        loss = T.sum_axis(z)
+    tape.backward(loss)
+    assert freed == [True]
+    assert np.array_equal(x.grad, [3.0, 4.0])
 
 
 def test_shape_errors_name_op_and_shapes():
